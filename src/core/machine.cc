@@ -129,9 +129,11 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
       nic_config.crypto_root_key = config_.crypto_root_key;
       nic_config.own_ip = config_.server_ip;
       nic_config.dedup = config_.server_dedup;
-      nic_config.dedup_window = config_.server_dedup_window;
-      lauberhorn_nic_ = std::make_unique<LauberhornNic>(*sim_, *interconnect_, *pcie_,
-                                                        services_, nic_config);
+      // §16: the at-most-once table is host memory the NIC works on by
+      // reference, so it survives a NIC crash without a shadow copy.
+      nic_dedup_ = std::make_unique<RpcDedupCache>(config_.server_dedup_window);
+      lauberhorn_nic_ = std::make_unique<LauberhornNic>(
+          *sim_, *interconnect_, *pcie_, services_, *nic_dedup_, nic_config);
       if (faults_ != nullptr) {
         lauberhorn_nic_->set_fault_injector(faults_.get());
       }
@@ -141,7 +143,7 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
       // §16: the OS's authoritative shadow of the NIC's control-plane state,
       // written through on every mutation. The watchdog (heartbeat + reset +
       // replay) runs only when a crash can actually happen (or is forced).
-      nic_shadow_ = std::make_unique<NicShadow>(nic_config.dedup_window);
+      nic_shadow_ = std::make_unique<NicShadow>();
       nic_shadow_->RecordAdmission(nic_config.admission);
       lauberhorn_nic_->set_shadow(nic_shadow_.get());
       if ((faults_ != nullptr && config_.faults.nic_crash.Any()) ||
@@ -530,7 +532,7 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("recovery/shadow_writes", nic_shadow_->writes());
     G("recovery/shadow_vfs", static_cast<double>(nic_shadow_->vf_count()));
     G("recovery/shadow_endpoints", static_cast<double>(nic_shadow_->endpoint_count()));
-    G("recovery/shadow_dedup_entries", static_cast<double>(nic_shadow_->dedup_count()));
+    G("recovery/shadow_dedup_entries", static_cast<double>(nic_dedup_->size()));
   }
   if (nic_recovery_ != nullptr) {
     const NicRecoveryManager::Stats& r = nic_recovery_->stats();

@@ -245,6 +245,7 @@ class Machine {
   std::unique_ptr<DmaNicDriver> dma_driver_;
   std::unique_ptr<LinuxRpcStack> linux_stack_;
   std::unique_ptr<BypassRuntime> bypass_;
+  std::unique_ptr<RpcDedupCache> nic_dedup_;  // outlives lauberhorn_nic_
   std::unique_ptr<LauberhornNic> lauberhorn_nic_;
   std::unique_ptr<LauberhornRuntime> lauberhorn_runtime_;
   std::unique_ptr<NicShadow> nic_shadow_;

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "src/nic/server_step.h"
+
 namespace lauberhorn {
 
 BypassRuntime::BypassRuntime(Simulator& sim, Kernel& kernel, DmaNicDriver& driver,
@@ -75,8 +77,6 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
   const ServiceDef* service =
       request.has_value() ? services_.FindByPort(frame->udp.dst_port) : nullptr;
 
-  RpcMessage response;
-  response.kind = MessageKind::kResponse;
   Duration work = config_.per_packet;
 
   if (config_.admission.enabled && request.has_value() &&
@@ -97,27 +97,12 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
         case ShedReason::kNone:
           break;
       }
-      response.status = RpcStatus::kOverloaded;
-      response.service_id = request->service_id;
-      response.method_id = request->method_id;
-      response.request_id = request->request_id;
-      if (frame->ip.ecn == kEcnCe) {
-        // DCTCP fallback (§15): echo the fabric's CE mark even on a shed.
-        response.flags |= kLrpcFlagEcnEcho;
-      }
-      EthernetHeader eth;
-      eth.dst = frame->eth.src;
-      eth.src = frame->eth.dst;
-      Ipv4Header ip;
-      ip.src = frame->ip.dst;
-      ip.dst = frame->ip.src;
-      ip.ecn = frame->ip.ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct;
-      UdpHeader udp;
-      udp.src_port = frame->udp.dst_port;
-      udp.dst_port = frame->udp.src_port;
-      std::vector<uint8_t> payload;
-      EncodeRpcMessage(response, payload);
-      const Packet out = BuildUdpFrame(eth, ip, udp, payload);
+      // DCTCP fallback (§15): ReplyFrame echoes the fabric's CE mark even
+      // on a shed.
+      const Packet out =
+          ReplyFrame(frame->eth, frame->ip, frame->udp,
+                     ReplyTo(request->service_id, request->method_id,
+                             request->request_id, RpcStatus::kOverloaded));
       // Saying "no" skips crypto, dedup, and the handler, but still burns
       // user CPU on the polling core for the decode + reply TX.
       work += config_.tx_per_packet;
@@ -140,10 +125,6 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
       request->payload = std::move(*opened);
     }
   }
-  const MethodDef* method =
-      service != nullptr && request.has_value()
-          ? service->FindMethod(request->method_id)
-          : nullptr;
   if (!request.has_value() || request->kind != MessageKind::kRequest) {
     ++bad_requests_;
     core.Run(work, CoreMode::kUser,
@@ -152,36 +133,25 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
              });
     return;
   }
-  response.service_id = request->service_id;
-  response.method_id = request->method_id;
-  response.request_id = request->request_id;
+  RpcMessage response =
+      ReplyTo(request->service_id, request->method_id, request->request_id);
 
   // At-most-once admission, after decryption/decode validated the copy.
   bool replay = false;
   uint64_t flow = 0;
   if (config_.dedup) {
     flow = DedupFlowKey(frame->ip.src, frame->udp.src_port);
-    switch (dedup_.Admit(flow, request->request_id)) {
-      case RpcDedupCache::Verdict::kNew:
-        break;
-      case RpcDedupCache::Verdict::kInFlight:
-        ++dup_drops_in_flight_;
-        core.Run(work, CoreMode::kUser,
-                 [this, q, &core, packets = std::move(packets), index]() mutable {
-                   ProcessBatch(q, core, std::move(packets), index + 1);
-                 });
-        return;
-      case RpcDedupCache::Verdict::kCompleted: {
-        ++dup_replays_;
-        const RpcMessage* cached = dedup_.Lookup(flow, request->request_id);
-        if (cached != nullptr) {
-          response = *cached;  // already sealed; resend as-is
-        } else {
-          response.status = RpcStatus::kInternal;
-        }
-        replay = true;
-        break;
-      }
+    const RpcDedupCache::Screened screen = dedup_.Screen(flow, request->request_id);
+    if (screen.verdict == RpcDedupCache::Verdict::kInFlight) {
+      core.Run(work, CoreMode::kUser,
+               [this, q, &core, packets = std::move(packets), index]() mutable {
+                 ProcessBatch(q, core, std::move(packets), index + 1);
+               });
+      return;
+    }
+    if (screen.verdict == RpcDedupCache::Verdict::kCompleted) {
+      response = *screen.cached;  // already sealed; resend as-is
+      replay = true;
     }
   }
 
@@ -195,22 +165,14 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
       spans_->Record(request->request_id, SpanStage::kHandlerStart, sim_.Now());
       spans_->Annotate(request->request_id, SpanDispatch::kPolled, q);
     }
-    if (service == nullptr) {
-      response.status = RpcStatus::kNoSuchService;
-    } else if (method == nullptr) {
-      response.status = RpcStatus::kNoSuchMethod;
-    } else {
-      std::vector<WireValue> args;
-      if (!UnmarshalArgs(method->request_sig, request->payload, args)) {
-        response.status = RpcStatus::kBadArguments;
-        work += costs.SwMarshalCost(request->payload.size());
-      } else {
-        work += costs.SwMarshalCost(request->payload.size());  // software unmarshal
-        const std::vector<WireValue> result = method->handler(args);
-        work += method->service_time(args);
-        MarshalArgs(method->response_sig, result, response.payload);
-        work += costs.SwMarshalCost(response.payload.size());
-      }
+    Invocation result = InvokeMethod(service, request->method_id, request->payload);
+    response.status = result.status;
+    response.payload = std::move(result.payload);
+    if (result.status == RpcStatus::kOk || result.status == RpcStatus::kBadArguments) {
+      work += costs.SwMarshalCost(request->payload.size());  // software unmarshal
+    }
+    if (result.status == RpcStatus::kOk) {
+      work += result.service_time + costs.SwMarshalCost(response.payload.size());
     }
     if (config_.encrypt_rpcs && !response.payload.empty() && service != nullptr) {
       work += costs.SwCryptoCost(response.payload.size());
@@ -224,24 +186,10 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
   }
   work += config_.tx_per_packet;
 
-  EthernetHeader eth;
-  eth.dst = frame->eth.src;
-  eth.src = frame->eth.dst;
-  Ipv4Header ip;
-  ip.src = frame->ip.dst;
-  ip.dst = frame->ip.src;
-  ip.ecn = frame->ip.ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct;
-  UdpHeader udp;
-  udp.src_port = frame->udp.dst_port;
-  udp.dst_port = frame->udp.src_port;
-  if (frame->ip.ecn == kEcnCe) {
-    // DCTCP fallback (§15): echo the CE mark (set post-dedup so the cached
-    // response does not fossilize one request's congestion observation).
-    response.flags |= kLrpcFlagEcnEcho;
-  }
-  std::vector<uint8_t> payload;
-  EncodeRpcMessage(response, payload);
-  const Packet out = BuildUdpFrame(eth, ip, udp, payload);
+  // DCTCP fallback (§15): ReplyFrame echoes the CE mark after dedup caching,
+  // so the cached response does not fossilize one request's congestion
+  // observation.
+  const Packet out = ReplyFrame(frame->eth, frame->ip, frame->udp, std::move(response));
 
   const uint64_t request_id = request->request_id;
   core.Run(work, CoreMode::kUser,

@@ -68,8 +68,10 @@ class BypassRuntime {
   uint64_t rpcs_completed() const { return rpcs_completed_; }
   uint64_t bad_requests() const { return bad_requests_; }
   uint64_t empty_polls() const { return empty_polls_; }
-  uint64_t dup_drops_in_flight() const { return dup_drops_in_flight_; }
-  uint64_t dup_replays() const { return dup_replays_; }
+  uint64_t dup_drops_in_flight() const {
+    return dedup_.stats().duplicates_in_flight;
+  }
+  uint64_t dup_replays() const { return dedup_.stats().duplicates_replayed; }
   // Overload sheds by reason and the user CPU charged for shedding.
   uint64_t sheds_queue() const { return sheds_queue_; }
   uint64_t sheds_quota() const { return sheds_quota_; }
@@ -99,8 +101,6 @@ class BypassRuntime {
   uint64_t rpcs_completed_ = 0;
   uint64_t bad_requests_ = 0;
   uint64_t empty_polls_ = 0;
-  uint64_t dup_drops_in_flight_ = 0;
-  uint64_t dup_replays_ = 0;
   uint64_t sheds_queue_ = 0;
   uint64_t sheds_quota_ = 0;
   uint64_t sheds_sojourn_ = 0;

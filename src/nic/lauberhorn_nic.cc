@@ -7,18 +7,20 @@
 #include <utility>
 
 #include "src/fault/fault.h"
+#include "src/nic/server_step.h"
 #include "src/nic/shadow.h"
 
 namespace lauberhorn {
 
 LauberhornNic::LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect,
-                             PcieLink& pcie, ServiceRegistry& services, Config config)
+                             PcieLink& pcie, ServiceRegistry& services,
+                             RpcDedupCache& dedup, Config config)
     : sim_(sim),
       interconnect_(interconnect),
       pcie_(pcie),
       services_(services),
       config_(config),
-      dedup_(config.dedup_window) {
+      dedup_(dedup) {
   const size_t first_continuation = config_.num_kernel_channels + config_.num_endpoints;
   const size_t total = first_continuation + config_.num_continuations;
   endpoints_.resize(total);
@@ -286,7 +288,6 @@ void LauberhornNic::CrashNow() {
     group.central.clear();
     group.sojourn = SojournGate{};
   }
-  dedup_ = RpcDedupCache(config_.dedup_window);
   grant_ramp_until_ = 0;
   // VF partitions are device state too: the firmware that knew them is gone.
   // The shadow replays RestoreVf before any endpoint, so tenants come back
@@ -336,16 +337,6 @@ void LauberhornNic::RestoreContinuation(uint32_t id) {
 
 void LauberhornNic::RestoreAdmission(const AdmissionConfig& admission) {
   config_.admission = admission;
-}
-
-void LauberhornNic::RestoreDedupInFlight(uint64_t flow, uint64_t request_id) {
-  dedup_.Admit(flow, request_id);  // in flight, never evicted
-}
-
-void LauberhornNic::RestoreDedupCompleted(uint64_t flow, uint64_t request_id,
-                                          const RpcMessage& response) {
-  dedup_.Admit(flow, request_id);
-  dedup_.Complete(flow, request_id, response);
 }
 
 void LauberhornNic::ActivateEndpoint(uint32_t endpoint, int core) {
@@ -528,41 +519,25 @@ void LauberhornNic::ReceivePacket(Packet packet) {
     // to reach a handler or an explicit overload response).
     if (config_.dedup) {
       const uint64_t flow = VfFlowKey(ep_id, frame->ip.src, frame->udp.src_port);
-      switch (dedup_.Admit(flow, request->request_id)) {
-        case RpcDedupCache::Verdict::kNew:
-          if (shadow_ != nullptr) {
-            shadow_->DedupAdmit(flow, request->request_id);
-          }
-          break;
-        case RpcDedupCache::Verdict::kInFlight:
-          // The original is still executing; its response answers this copy.
-          ++stats_.dup_drops_in_flight;
-          return;
-        case RpcDedupCache::Verdict::kCompleted: {
-          ++stats_.dup_replays;
-          const RpcMessage* cached = dedup_.Lookup(flow, request->request_id);
-          PreparedRequest replay;
-          replay.endpoint = ep_id;
-          replay.service_id = request->service_id;
-          replay.method_id = request->method_id;
-          replay.request_id = request->request_id;
-          replay.eth = frame->eth;
-          replay.ip = frame->ip;
-          replay.udp = frame->udp;
-          replay.wire_arrival = 0;  // replays stay out of the latency histogram
-          RpcMessage response;
-          if (cached != nullptr) {
-            response = *cached;
-          } else {
-            response.kind = MessageKind::kResponse;
-            response.status = RpcStatus::kInternal;
-            response.service_id = request->service_id;
-            response.method_id = request->method_id;
-            response.request_id = request->request_id;
-          }
-          TransmitResponse(replay, std::move(response));
-          return;
-        }
+      const RpcDedupCache::Screened screen = dedup_.Screen(flow, request->request_id);
+      if (screen.verdict == RpcDedupCache::Verdict::kInFlight) {
+        // The original is still executing; its response answers this copy.
+        ++stats_.dup_drops_in_flight;
+        return;
+      }
+      if (screen.verdict == RpcDedupCache::Verdict::kCompleted) {
+        ++stats_.dup_replays;
+        PreparedRequest replay;
+        replay.endpoint = ep_id;
+        replay.service_id = request->service_id;
+        replay.method_id = request->method_id;
+        replay.request_id = request->request_id;
+        replay.eth = frame->eth;
+        replay.ip = frame->ip;
+        replay.udp = frame->udp;
+        replay.wire_arrival = 0;  // replays stay out of the latency histogram
+        TransmitResponse(replay, *screen.cached);
+        return;
       }
     }
 
@@ -1000,8 +975,8 @@ bool LauberhornNic::HasBacklog(Endpoint& ep) {
 void LauberhornNic::DispatchPrepared(PreparedRequest request) {
   if (!CheckDeviceUp()) {
     // The crash landed between the RX front end and dispatch: this request
-    // died inside the device pipeline. Its dedup entry was wiped with the
-    // cache, so a retransmit executes fresh.
+    // died inside the device pipeline. Its dedup entry was never delivered,
+    // so the reset drops it and a retransmit executes fresh.
     ++stats_.drops_nic_down;
     return;
   }
@@ -1231,15 +1206,10 @@ void LauberhornNic::Shed(Endpoint& ep, const PreparedRequest& request,
   }
   trace_.Emit(sim_.Now(), TraceEvent::kDrop, ep.id,
               static_cast<uint32_t>(reason));
-  RpcMessage overload;
-  overload.kind = MessageKind::kResponse;
-  overload.status = RpcStatus::kOverloaded;
-  overload.service_id = request.service_id;
-  overload.method_id = request.method_id;
-  overload.request_id = request.request_id;
   // TransmitResponse aborts the dedup entry on kOverloaded, so a later
   // retransmit of this id may still execute (at most once).
-  TransmitResponse(request, std::move(overload));
+  TransmitResponse(request, ReplyTo(request.service_id, request.method_id,
+                                    request.request_id, RpcStatus::kOverloaded));
 }
 
 uint16_t LauberhornNic::ComputeGrant(const Endpoint& ep) {
@@ -1390,10 +1360,10 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
   if (spans_ != nullptr && !ep.is_continuation) {
     spans_->Record(request.request_id, SpanStage::kDelivered, sim_.Now());
   }
-  if (shadow_ != nullptr && config_.dedup && !ep.is_continuation) {
-    // The request is about to reach a handler: from here on a crash must
-    // restore it as in-flight (executed-but-response-lost), never re-run it.
-    shadow_->DedupDelivered(
+  if (config_.dedup && !ep.is_continuation) {
+    // The request is about to reach a handler: from here on a reset must
+    // pin it in flight (executed-but-response-lost), never re-run it.
+    dedup_.MarkDelivered(
         VfFlowKey(request.endpoint, request.ip.src, request.udp.src_port),
         request.request_id);
   }
@@ -1430,8 +1400,8 @@ void LauberhornNic::DeliverToKernelChannel(Endpoint& channel, PreparedRequest re
   if (spans_ != nullptr) {
     spans_->Record(request.request_id, SpanStage::kDelivered, sim_.Now());
   }
-  if (shadow_ != nullptr && config_.dedup) {
-    shadow_->DedupDelivered(
+  if (config_.dedup) {
+    dedup_.MarkDelivered(
         VfFlowKey(request.endpoint, request.ip.src, request.udp.src_port),
         request.request_id);
   }
@@ -1647,11 +1617,9 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
       [this, ep_id, ctrl, outstanding = std::move(outstanding)](LineData data) mutable {
         StoredLine(ctrl) = data;
         const auto response_line = ResponseLine::Decode(data);
-        RpcMessage response;
-        response.kind = MessageKind::kResponse;
-        response.service_id = outstanding.request.service_id;
-        response.method_id = outstanding.request.method_id;
-        response.request_id = outstanding.request.request_id;
+        RpcMessage response =
+            ReplyTo(outstanding.request.service_id, outstanding.request.method_id,
+                    outstanding.request.request_id);
         if (!response_line.has_value() ||
             response_line->kind != LineKind::kResponse) {
           response.status = RpcStatus::kInternal;
@@ -1729,40 +1697,31 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
   if (!CheckDeviceUp()) {
     // A response path (cold SoftwareTransmit, DMA completion, AUX fetch)
     // that outlived the firmware: the TX engine is dead, the response is
-    // lost. The shadow's kDelivered rule keeps at-most-once intact.
+    // lost. The reset's pinned-delivered rule keeps at-most-once intact.
     ++stats_.drops_nic_down;
     return;
   }
-  if (!endpoints_[meta.endpoint].is_continuation &&
-      response.kind == MessageKind::kResponse) {
+  const bool served = !endpoints_[meta.endpoint].is_continuation;
+  if (served) {
     ++vfs_[endpoints_[meta.endpoint].vf].stats.responses;
   }
-  if (config_.dedup && !endpoints_[meta.endpoint].is_continuation &&
-      response.kind == MessageKind::kResponse) {
+  if (config_.dedup && served) {
     const uint64_t flow = VfFlowKey(meta.endpoint, meta.ip.src, meta.udp.src_port);
     if (response.status == RpcStatus::kOverloaded) {
       // Shed, not executed: forget the entry so a retransmit runs fresh.
       dedup_.Abort(flow, response.request_id);
-      if (shadow_ != nullptr) {
-        shadow_->DedupAbort(flow, response.request_id);
-      }
     } else {
       // Cache pre-seal so replays re-seal with a fresh pass through this
       // function. Idempotent for replayed responses.
       dedup_.Complete(flow, response.request_id, response);
-      if (shadow_ != nullptr) {
-        shadow_->DedupComplete(flow, response.request_id, response);
-      }
     }
   }
   // Congestion feedback (§15), attached after dedup caching so a replayed
   // response carries the grant/echo of its *replay* time, not a stale one.
-  if (meta.ip.ecn != kEcnNotEct && response.kind == MessageKind::kResponse &&
-      !endpoints_[meta.endpoint].is_continuation) {
+  if (meta.ip.ecn != kEcnNotEct && served) {
     if (meta.ip.ecn == kEcnCe) {
-      // The request crossed a congested fabric queue: echo the mark so the
-      // sender's DCTCP loop sees it (the mark itself stays on the request).
-      response.flags |= kLrpcFlagEcnEcho;
+      // The request crossed a congested fabric queue: ReplyFrame echoes the
+      // mark so the sender's DCTCP loop sees it.
       ++stats_.ecn_echoes;
     }
     if (config_.grants_enabled && response.status != RpcStatus::kOverloaded) {
@@ -1775,30 +1734,15 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
   }
   Duration crypto_cost = 0;
   if (config_.crypto && !response.payload.empty()) {
-    const uint32_t service_id = endpoints_[meta.endpoint].is_continuation
-                                    ? response.service_id
-                                    : endpoints_[meta.endpoint].service_id;
+    const uint32_t service_id =
+        served ? endpoints_[meta.endpoint].service_id : response.service_id;
     response.payload = SealPayload(DeriveKey(config_.crypto_root_key, service_id),
                                    response.request_id ^ 0x5a5a, response.payload);
     crypto_cost = config_.pipeline.CryptoCost(response.payload.size());
   }
-  std::vector<uint8_t> payload;
-  EncodeRpcMessage(response, payload);
-  EthernetHeader eth;
-  eth.dst = meta.eth.src;
-  eth.src = meta.eth.dst;
-  Ipv4Header ip;
-  ip.src = meta.ip.dst;
-  ip.dst = meta.ip.src;
-  // The response to an ECN-capable sender is itself ECT: fabric congestion
-  // on the return path is observable too.
-  ip.ecn = meta.ip.ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct;
-  UdpHeader udp;
-  udp.src_port = meta.udp.dst_port;
-  udp.dst_port = meta.udp.src_port;
-  Packet out = BuildUdpFrame(eth, ip, udp, payload);
   trace_.Emit(sim_.Now(), TraceEvent::kWireTx, meta.endpoint,
               static_cast<uint32_t>(response.request_id));
+  Packet out = ReplyFrame(meta.eth, meta.ip, meta.udp, std::move(response));
   if (meta.wire_arrival > 0) {
     Endpoint& ep = endpoints_[meta.endpoint];
     if (ep.latency == nullptr) {
@@ -1806,7 +1750,7 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
     }
     ep.latency->Record(sim_.Now() - meta.wire_arrival);
   }
-  if (ip.dst == config_.own_ip) {
+  if (meta.ip.src == config_.own_ip) {
     // Reply to a nested (hairpinned) request: back through the RX pipeline.
     sim_.Schedule(crypto_cost + config_.pipeline.tx_fixed + config_.hairpin_latency,
                   [this, out = std::move(out)]() mutable {

@@ -92,9 +92,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     // At-most-once execution: remember (flow, request id) per request so a
     // client retransmit never runs the handler twice — duplicates of an
     // in-flight request are dropped (the original's response answers them),
-    // and duplicates of a completed request replay the cached response.
+    // and duplicates of a completed request replay the cached response. The
+    // table is host memory the owner passes in; its window is set there.
     bool dedup = true;
-    size_t dedup_window = 1024;  // completed entries remembered
     // Overload admission control on the RX pipeline (src/overload): quota +
     // sojourn checks run before a request is queued, and sheds answer with a
     // NIC-generated kOverloaded reply at zero host-CPU cost.
@@ -190,8 +190,10 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     uint64_t nic_resets = 0;
   };
 
+  // `dedup` is the at-most-once table. It lives in host memory beside the
+  // OS's NicShadow, so it outlives a device crash (DESIGN.md §16).
   LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect, PcieLink& pcie,
-                ServiceRegistry& services, Config config);
+                ServiceRegistry& services, RpcDedupCache& dedup, Config config);
 
   const Config& config() const { return config_; }
 
@@ -202,9 +204,10 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Per-request span tracing: the NIC stamps admission/dispatch/delivery.
   void set_span_collector(SpanCollector* spans) { spans_ = spans; }
   // OS-side write-through shadow (src/nic/shadow): mirrors every
-  // control-plane mutation and dedup transition so the host can rebuild the
-  // device after a crash.
+  // control-plane mutation so the host can rebuild the device after a crash.
   void set_shadow(NicShadow* shadow) { shadow_ = shadow; }
+  // The host-owned at-most-once table this NIC works on.
+  RpcDedupCache& dedup() { return dedup_; }
 
   // -- Crash / recovery (§16) ----------------------------------------------
 
@@ -227,9 +230,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   void RestoreKernelChannel(uint32_t id);
   void RestoreContinuation(uint32_t id);
   void RestoreAdmission(const AdmissionConfig& admission);
-  void RestoreDedupInFlight(uint64_t flow, uint64_t request_id);
-  void RestoreDedupCompleted(uint64_t flow, uint64_t request_id,
-                             const RpcMessage& response);
 
   // -- Address layout ------------------------------------------------------
 
@@ -577,8 +577,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   bool CheckDeviceUp();
   // The firmware died: answer every parked load with TRYAGAIN (the
   // bus-timeout model keeps cores from stranding), then wipe all volatile
-  // state — endpoint table, line store, queues, dedup cache, admission
-  // buckets, grant state — exactly what the shadow exists to rebuild.
+  // state — endpoint table, line store, queues, admission buckets, grant
+  // state — exactly what the shadow exists to rebuild. The dedup table is
+  // host memory and survives; replay applies its reset rules.
   void CrashNow();
 
   Simulator& sim_;
@@ -591,7 +592,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   FaultInjector* faults_ = nullptr;
   SpanCollector* spans_ = nullptr;
   NicShadow* shadow_ = nullptr;
-  RpcDedupCache dedup_;
+  RpcDedupCache& dedup_;
   // §16: false between a crash and the host-driven CompleteReset().
   bool device_up_ = true;
   // Grants are clamped to grant_reset_cap until this instant (post-reset

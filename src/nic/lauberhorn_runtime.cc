@@ -6,6 +6,8 @@
 #include <optional>
 #include <utility>
 
+#include "src/nic/server_step.h"
+
 namespace lauberhorn {
 
 LauberhornRuntime::LauberhornRuntime(Simulator& sim, Kernel& kernel, LauberhornNic& nic,
@@ -348,11 +350,8 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
                                      done = std::move(done)]() mutable {
     const MethodDef::NestedCall call = method.nested_call(values);
     const auto continuation = nic_.AllocateContinuation();
-    RpcMessage response;
-    response.kind = MessageKind::kResponse;
-    response.service_id = dispatch.service_id;
-    response.method_id = dispatch.method_id;
-    response.request_id = dispatch.request_id;
+    RpcMessage response =
+        ReplyTo(dispatch.service_id, dispatch.method_id, dispatch.request_id);
     if (!continuation.has_value()) {
       ++nested_failed_;
       response.status = RpcStatus::kInternal;  // continuation pool exhausted
@@ -434,36 +433,26 @@ void LauberhornRuntime::HandleDispatch(EndpointRt& rt, Core& core,
                  spans_->Record(dispatch.request_id, SpanStage::kHandlerStart,
                                 sim_.Now());
                }
+               // The NIC already unmarshalled/validated: decoding here is
+               // free (args arrive laid out in registers/cache lines).
                const MethodDef* method = rt.service->FindMethod(dispatch.method_id);
-               RpcMessage response;
-               response.kind = MessageKind::kResponse;
-               response.service_id = dispatch.service_id;
-               response.method_id = dispatch.method_id;
-               response.request_id = dispatch.request_id;
-               Duration user_cost = config_.handler_entry + extra_cost;
-               if (method == nullptr) {
-                 response.status = RpcStatus::kNoSuchMethod;
-               } else {
-                 // The NIC already unmarshalled/validated: decoding here is
-                 // free (args arrive laid out in registers/cache lines).
-                 std::vector<WireValue> values;
-                 if (!UnmarshalArgs(method->request_sig, args, values)) {
-                   response.status = RpcStatus::kBadArguments;
-                 } else if (method->has_nested_call()) {
-                   IssueNested(core, *method, dispatch, std::move(values),
-                               [this, &rt, &core, dispatch](RpcMessage nested_response,
-                                                            Duration finish_cost) {
-                                 WriteResponse(rt, core, dispatch,
-                                               std::move(nested_response), finish_cost);
-                               });
-                   return;
-                 } else {
-                   const std::vector<WireValue> result = method->handler(values);
-                   user_cost += method->service_time(values);
-                   MarshalArgs(method->response_sig, result, response.payload);
-                 }
+               std::vector<WireValue> values;
+               if (method != nullptr && method->has_nested_call() &&
+                   UnmarshalArgs(method->request_sig, args, values)) {
+                 IssueNested(core, *method, dispatch, std::move(values),
+                             [this, &rt, &core, dispatch](RpcMessage nested_response,
+                                                          Duration finish_cost) {
+                               WriteResponse(rt, core, dispatch,
+                                             std::move(nested_response), finish_cost);
+                             });
+                 return;
                }
-               WriteResponse(rt, core, dispatch, std::move(response), user_cost);
+               Invocation result = InvokeMethod(rt.service, dispatch.method_id, args);
+               RpcMessage response = ReplyTo(dispatch.service_id, dispatch.method_id,
+                                             dispatch.request_id, result.status);
+               response.payload = std::move(result.payload);
+               WriteResponse(rt, core, dispatch, std::move(response),
+                             config_.handler_entry + extra_cost + result.service_time);
              });
 }
 
@@ -607,11 +596,9 @@ void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
                                            std::vector<uint8_t> args) {
   auto it = endpoints_.find(dispatch.endpoint_id);
   if (it == endpoints_.end()) {
-    RpcMessage err;
-    err.kind = MessageKind::kResponse;
-    err.status = RpcStatus::kNoSuchService;
-    err.request_id = dispatch.request_id;
-    nic_.SoftwareTransmit(dispatch.request_id, std::move(err));
+    nic_.SoftwareTransmit(dispatch.request_id,
+                          ReplyTo(dispatch.service_id, dispatch.method_id,
+                                  dispatch.request_id, RpcStatus::kNoSuchService));
     dispatchers_[slot].armed = false;
     kernel_.scheduler().OnWorkDone(core);
     return;
@@ -657,24 +644,11 @@ void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
                  return;
                }
              }
-             RpcMessage response;
-             response.kind = MessageKind::kResponse;
-             response.service_id = dispatch.service_id;
-             response.method_id = dispatch.method_id;
-             response.request_id = dispatch.request_id;
-             Duration user_cost = config_.handler_entry;
-             if (method == nullptr) {
-               response.status = RpcStatus::kNoSuchMethod;
-             } else {
-               std::vector<WireValue> values;
-               if (!UnmarshalArgs(method->request_sig, args, values)) {
-                 response.status = RpcStatus::kBadArguments;
-               } else {
-                 const std::vector<WireValue> result = method->handler(values);
-                 user_cost += method->service_time(values);
-                 MarshalArgs(method->response_sig, result, response.payload);
-               }
-             }
+             Invocation result = InvokeMethod(rt.service, dispatch.method_id, args);
+             RpcMessage response = ReplyTo(dispatch.service_id, dispatch.method_id,
+                                           dispatch.request_id, result.status);
+             response.payload = std::move(result.payload);
+             const Duration user_cost = config_.handler_entry + result.service_time;
              core.Run(user_cost, CoreMode::kUser, [this, slot, &core, &rt,
                                                    response = std::move(response)]() mutable {
                if (spans_ != nullptr) {

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "src/nic/server_step.h"
+
 namespace lauberhorn {
 
 LinuxRpcStack::LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic,
@@ -172,30 +174,12 @@ Duration LinuxRpcStack::ShedFrame(uint32_t q, const ParsedFrame& frame,
     case ShedReason::kNone:
       break;
   }
-  RpcMessage overload;
-  overload.kind = MessageKind::kResponse;
-  overload.status = RpcStatus::kOverloaded;
-  overload.service_id = request->service_id;
-  overload.method_id = request->method_id;
-  overload.request_id = request->request_id;
-  if (frame.ip.ecn == kEcnCe) {
-    // Host-side DCTCP fallback (§15): no grants here, but the CE mark the
-    // request picked up in the fabric is still echoed to the sender.
-    overload.flags |= kLrpcFlagEcnEcho;
-  }
-  std::vector<uint8_t> payload;
-  EncodeRpcMessage(overload, payload);
-  EthernetHeader eth;
-  eth.dst = frame.eth.src;
-  eth.src = frame.eth.dst;
-  Ipv4Header ip;
-  ip.src = frame.ip.dst;
-  ip.dst = frame.ip.src;
-  ip.ecn = frame.ip.ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct;
-  UdpHeader udp;
-  udp.src_port = frame.udp.dst_port;
-  udp.dst_port = frame.udp.src_port;
-  const Packet out = BuildUdpFrame(eth, ip, udp, payload);
+  // Host-side DCTCP fallback (§15): no grants here, but ReplyFrame still
+  // echoes the CE mark the request picked up in the fabric.
+  const Packet out =
+      ReplyFrame(frame.eth, frame.ip, frame.udp,
+                 ReplyTo(request->service_id, request->method_id,
+                         request->request_id, RpcStatus::kOverloaded));
   driver_.Transmit(q, out.bytes);
   const Duration cost = costs.protocol_processing + costs.driver_tx_per_packet;
   shed_cpu_time_ += cost;
@@ -269,11 +253,8 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
       }
       plain.payload = std::move(*opened);
     }
-    RpcMessage response;
-    response.kind = MessageKind::kResponse;
-    response.service_id = plain.service_id;
-    response.method_id = plain.method_id;
-    response.request_id = plain.request_id;
+    RpcMessage response =
+        ReplyTo(plain.service_id, plain.method_id, plain.request_id);
     Duration user_cost = crypto_cost;
 
     // At-most-once admission, after decryption validated the request (a
@@ -282,24 +263,14 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
     uint64_t flow = 0;
     if (config_.dedup) {
       flow = DedupFlowKey(req_ip.src, req_udp.src_port);
-      switch (dedup_.Admit(flow, plain.request_id)) {
-        case RpcDedupCache::Verdict::kNew:
-          break;
-        case RpcDedupCache::Verdict::kInFlight:
-          ++dup_drops_in_flight_;
-          kernel_.scheduler().OnWorkDone(core);
-          return;
-        case RpcDedupCache::Verdict::kCompleted: {
-          ++dup_replays_;
-          const RpcMessage* cached = dedup_.Lookup(flow, plain.request_id);
-          if (cached != nullptr) {
-            response = *cached;  // already sealed; resend as-is
-          } else {
-            response.status = RpcStatus::kInternal;
-          }
-          replay = true;
-          break;
-        }
+      const RpcDedupCache::Screened screen = dedup_.Screen(flow, plain.request_id);
+      if (screen.verdict == RpcDedupCache::Verdict::kInFlight) {
+        kernel_.scheduler().OnWorkDone(core);
+        return;
+      }
+      if (screen.verdict == RpcDedupCache::Verdict::kCompleted) {
+        response = *screen.cached;  // already sealed; resend as-is
+        replay = true;
       }
     }
 
@@ -307,22 +278,15 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
       if (spans_ != nullptr) {
         spans_->Record(plain.request_id, SpanStage::kHandlerStart, sim_.Now());
       }
-      const MethodDef* method = state.def->FindMethod(plain.method_id);
-      if (method == nullptr) {
-        response.status = RpcStatus::kNoSuchMethod;
-      } else {
-        std::vector<WireValue> args;
-        if (!UnmarshalArgs(method->request_sig, plain.payload, args)) {
-          response.status = RpcStatus::kBadArguments;
-          user_cost += costs.SwMarshalCost(plain.payload.size());
-        } else {
-          // Software unmarshal + handler + software marshal.
-          user_cost += costs.SwMarshalCost(plain.payload.size());
-          const std::vector<WireValue> result = method->handler(args);
-          user_cost += method->service_time(args);
-          MarshalArgs(method->response_sig, result, response.payload);
-          user_cost += costs.SwMarshalCost(response.payload.size());
-        }
+      Invocation result = InvokeMethod(state.def, plain.method_id, plain.payload);
+      response.status = result.status;
+      response.payload = std::move(result.payload);
+      if (result.status == RpcStatus::kOk ||
+          result.status == RpcStatus::kBadArguments) {
+        user_cost += costs.SwMarshalCost(plain.payload.size());  // unmarshal
+      }
+      if (result.status == RpcStatus::kOk) {
+        user_cost += result.service_time + costs.SwMarshalCost(response.payload.size());
       }
       if (config_.encrypt_rpcs && !response.payload.empty()) {
         user_cost += costs.SwCryptoCost(response.payload.size());
@@ -340,29 +304,13 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
       if (spans_ != nullptr && !replay) {
         spans_->Record(response.request_id, SpanStage::kHandlerEnd, sim_.Now());
       }
-      // Step 3: sendmsg syscall + copyin + driver TX.
-      std::vector<uint8_t> payload;
-      RpcMessage out_msg = response;
-      if (req_ip.ecn == kEcnCe) {
-        // Host-side DCTCP fallback (§15): echo the fabric's CE mark. No
-        // grants — the kernel has no NIC-resident queue-headroom view.
-        out_msg.flags |= kLrpcFlagEcnEcho;
-      }
-      EncodeRpcMessage(out_msg, payload);
-      EthernetHeader eth;
-      eth.dst = req_eth.src;
-      eth.src = req_eth.dst;
-      Ipv4Header ip;
-      ip.src = req_ip.dst;
-      ip.dst = req_ip.src;
-      ip.ecn = req_ip.ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct;
-      UdpHeader udp;
-      udp.src_port = req_udp.dst_port;
-      udp.dst_port = req_udp.src_port;
-      const Packet out = BuildUdpFrame(eth, ip, udp, payload);
+      // Step 3: sendmsg syscall + copyin + driver TX. Host-side DCTCP
+      // fallback (§15): the CE echo only — the kernel has no NIC-resident
+      // queue-headroom view to grant from.
+      const Packet out = ReplyFrame(req_eth, req_ip, req_udp, response);
       const OsCostModel& costs2 = kernel_.costs();
       const Duration send_cost = costs2.syscall + costs2.socket_syscall_path +
-                                 costs2.CopyCost(payload.size()) +
+                                 costs2.CopyCost(response.WireSize()) +
                                  costs2.driver_tx_per_packet;
       core.Run(send_cost, CoreMode::kKernel, [this, &state, &core, out, replay]() {
         const uint32_t txq =

@@ -46,51 +46,6 @@ void NicShadow::RecordAdmission(const AdmissionConfig& admission) {
   admission_recorded_ = true;
 }
 
-void NicShadow::DedupAdmit(uint64_t flow, uint64_t request_id) {
-  ++writes_;
-  dedup_[{flow, request_id}] = DedupEntry{DedupState::kInFlight, {}};
-}
-
-void NicShadow::DedupDelivered(uint64_t flow, uint64_t request_id) {
-  ++writes_;
-  auto it = dedup_.find({flow, request_id});
-  if (it != dedup_.end() && it->second.state == DedupState::kInFlight) {
-    it->second.state = DedupState::kDelivered;
-  }
-}
-
-void NicShadow::DedupComplete(uint64_t flow, uint64_t request_id,
-                              const RpcMessage& response) {
-  ++writes_;
-  auto it = dedup_.find({flow, request_id});
-  if (it == dedup_.end()) {
-    return;  // aborted or never admitted; nothing to remember
-  }
-  if (it->second.state == DedupState::kCompleted) {
-    return;  // idempotent, like RpcDedupCache::Complete
-  }
-  it->second.state = DedupState::kCompleted;
-  it->second.response = response;
-  completed_order_.push_back({flow, request_id});
-  while (completed_order_.size() > dedup_window_) {
-    const auto oldest = completed_order_.front();
-    completed_order_.pop_front();
-    auto victim = dedup_.find(oldest);
-    if (victim != dedup_.end() &&
-        victim->second.state == DedupState::kCompleted) {
-      dedup_.erase(victim);
-    }
-  }
-}
-
-void NicShadow::DedupAbort(uint64_t flow, uint64_t request_id) {
-  ++writes_;
-  auto it = dedup_.find({flow, request_id});
-  if (it != dedup_.end() && it->second.state != DedupState::kCompleted) {
-    dedup_.erase(it);
-  }
-}
-
 NicShadow::ReplayCounts NicShadow::ReplayInto(LauberhornNic& nic) {
   ReplayCounts counts;
   if (admission_recorded_) {
@@ -115,40 +70,7 @@ NicShadow::ReplayCounts NicShadow::ReplayInto(LauberhornNic& nic) {
     nic.RestoreContinuation(id);
     ++counts.continuations;
   }
-  for (auto it = dedup_.begin(); it != dedup_.end();) {
-    const uint64_t flow = it->first.first;
-    const uint64_t request_id = it->first.second;
-    switch (it->second.state) {
-      case DedupState::kCompleted:
-        nic.RestoreDedupCompleted(flow, request_id, it->second.response);
-        ++counts.dedup_completed;
-        ++it;
-        break;
-      case DedupState::kDelivered: {
-        // Executed (or executing) when the NIC died; its response is gone.
-        // Pin the id in flight so a retransmit can never run it again, and
-        // cache a synthetic kInternal terminal in the shadow so a *second*
-        // crash replays this as completed instead of re-pinning forever.
-        nic.RestoreDedupInFlight(flow, request_id);
-        ++counts.dedup_in_flight;
-        RpcMessage terminal;
-        terminal.kind = MessageKind::kResponse;
-        terminal.status = RpcStatus::kInternal;
-        terminal.request_id = request_id;
-        it->second.state = DedupState::kCompleted;
-        it->second.response = terminal;
-        completed_order_.push_back(it->first);
-        ++it;
-        break;
-      }
-      case DedupState::kInFlight:
-        // Admitted but never reached a handler: forget it, the retransmit
-        // executes fresh (its first execution).
-        ++counts.dedup_dropped;
-        it = dedup_.erase(it);
-        break;
-    }
-  }
+  counts.dedup = nic.dedup().ApplyNicReset();
   return counts;
 }
 
@@ -208,9 +130,9 @@ void NicRecoveryManager::FinishRecovery() {
   stats_.replayed_endpoints += counts.endpoints;
   stats_.replayed_kernel_channels += counts.kernel_channels;
   stats_.replayed_continuations += counts.continuations;
-  stats_.replayed_dedup_completed += counts.dedup_completed;
-  stats_.replayed_dedup_in_flight += counts.dedup_in_flight;
-  stats_.dropped_undelivered += counts.dedup_dropped;
+  stats_.replayed_dedup_completed += counts.dedup.completed;
+  stats_.replayed_dedup_in_flight += counts.dedup.pinned;
+  stats_.dropped_undelivered += counts.dedup.dropped;
   ++stats_.recoveries;
   stats_.last_blackout = sim_.Now() - detected_at_;
   stats_.total_blackout += stats_.last_blackout;

@@ -7,11 +7,11 @@
 //  * NicShadow — the host's authoritative, write-through copy of everything
 //    the NIC holds that cannot be regenerated from a packet: the endpoint
 //    table (service bindings, code/data pointers, DMA buffer IOVAs), kernel
-//    channel and continuation allocations, the admission config pushed into
-//    the device, and the at-most-once dedup cache. Every control-plane
-//    mutation and every dedup transition mirrors here synchronously (the
-//    host either originated the write or observes it via a coherent mirror
-//    region — both are one-store cheap).
+//    channel and continuation allocations, and the admission config pushed
+//    into the device. Every control-plane mutation mirrors here
+//    synchronously (the host originated the write — one store). The
+//    at-most-once dedup table is not copied at all: it already lives in host
+//    memory (the NIC works on it by reference), so it survives the crash.
 //
 //  * NicRecoveryManager — the host-side watchdog. It heartbeats the device;
 //    consecutive missed heartbeats (or a burst of wedged polls) trigger a
@@ -20,30 +20,22 @@
 //    stale credits cannot over-admit, and let the client retransmit + dedup
 //    path carry the blackout so at-most-once holds end to end.
 //
-// Dedup replay is the subtle part. At crash time an admitted request is in
-// one of three shadow states, each with a distinct replay rule:
-//
-//   kCompleted — response known: replay as completed, retransmits get the
-//                cached response (never re-execute).
-//   kDelivered — a handler saw it, but its response died with the NIC:
-//                replay as *in-flight* so retransmits are dropped; the
-//                client times out. Goodput loss, but never a second
-//                execution.
-//   kInFlight  — admitted, never delivered to a handler: drop the entry so
-//                a retransmit executes fresh (first execution).
+// Replay applies the dedup table's reset rules in place
+// (RpcDedupCache::ApplyNicReset): completed entries keep replaying their
+// response, undelivered in-flight entries are dropped (a retransmit executes
+// fresh), and delivered ones stay pinned in flight — their response died with
+// the NIC, so the client times out rather than the handler running twice.
 #ifndef SRC_NIC_SHADOW_H_
 #define SRC_NIC_SHADOW_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "src/nic/lauberhorn_nic.h"
 #include "src/os/kernel.h"
 #include "src/overload/overload.h"
-#include "src/proto/rpc_message.h"
+#include "src/proto/dedup.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -63,24 +55,13 @@ class NicShadow {
     uint32_t vf = 0;
   };
 
-  enum class DedupState : uint8_t {
-    kInFlight = 0,   // admitted, not yet handed to a handler
-    kDelivered = 1,  // a handler saw it; response fate unknown at crash
-    kCompleted = 2,  // response cached
-  };
-
   struct ReplayCounts {
     uint64_t vfs = 0;
     uint64_t endpoints = 0;
     uint64_t kernel_channels = 0;
     uint64_t continuations = 0;
-    uint64_t dedup_completed = 0;
-    uint64_t dedup_in_flight = 0;  // kDelivered entries pinned in flight
-    uint64_t dedup_dropped = 0;    // undelivered entries forgotten
+    RpcDedupCache::ResetCounts dedup;
   };
-
-  explicit NicShadow(size_t dedup_window = 1024)
-      : dedup_window_(dedup_window) {}
 
   // --- write-through mirror (called by the NIC / control plane) ---
   void RecordVf(uint32_t vf, const LauberhornNic::VfConfig& config);
@@ -89,32 +70,18 @@ class NicShadow {
   void RecordContinuationAllocated(uint32_t id);
   void RecordContinuationFreed(uint32_t id);
   void RecordAdmission(const AdmissionConfig& admission);
-  void DedupAdmit(uint64_t flow, uint64_t request_id);
-  void DedupDelivered(uint64_t flow, uint64_t request_id);
-  void DedupComplete(uint64_t flow, uint64_t request_id,
-                     const RpcMessage& response);
-  void DedupAbort(uint64_t flow, uint64_t request_id);
 
   // Replays the full shadow into a reborn (post-reset) NIC and applies the
-  // dedup replay rules above. kDelivered entries are re-marked kCompleted
-  // in the shadow with a synthetic status so a *second* crash does not
-  // re-pin them (their loss is already accounted).
+  // reset rules to its dedup table in place.
   ReplayCounts ReplayInto(LauberhornNic& nic);
 
   size_t vf_count() const { return vfs_.size(); }
   size_t endpoint_count() const { return endpoints_.size(); }
   size_t kernel_channel_count() const { return kernel_channels_.size(); }
   size_t continuation_count() const { return continuations_.size(); }
-  size_t dedup_count() const { return dedup_.size(); }
   uint64_t writes() const { return writes_; }
 
  private:
-  struct DedupEntry {
-    DedupState state = DedupState::kInFlight;
-    RpcMessage response;  // valid when kCompleted
-  };
-
-  size_t dedup_window_;
   // VF partitions in creation order; replayed before endpoints so that
   // restored endpoints find their owning VF slice already present.
   std::vector<std::pair<uint32_t, LauberhornNic::VfConfig>> vfs_;
@@ -123,10 +90,7 @@ class NicShadow {
   std::vector<uint32_t> continuations_;    // currently allocated
   AdmissionConfig admission_;
   bool admission_recorded_ = false;
-  // Ordered map: replay order is deterministic regardless of insert order.
-  std::map<std::pair<uint64_t, uint64_t>, DedupEntry> dedup_;
-  std::deque<std::pair<uint64_t, uint64_t>> completed_order_;  // FIFO bound
-  uint64_t writes_ = 0;  // control-plane mutations mirrored (all kinds)
+  uint64_t writes_ = 0;  // control-plane mutations mirrored
 };
 
 // Host-side watchdog: heartbeats the NIC, declares it dead after

@@ -174,16 +174,18 @@ TEST(DedupCacheTest, AdmitExecuteReplayLifecycle) {
   const uint64_t flow = DedupFlowKey(MakeIpv4(10, 0, 0, 1), 5555);
 
   EXPECT_EQ(cache.Admit(flow, 7), RpcDedupCache::Verdict::kNew);
-  EXPECT_EQ(cache.Admit(flow, 7), RpcDedupCache::Verdict::kInFlight);
-  EXPECT_EQ(cache.Lookup(flow, 7), nullptr);  // nothing cached yet
+  const RpcDedupCache::Screened in_flight = cache.Screen(flow, 7);
+  EXPECT_EQ(in_flight.verdict, RpcDedupCache::Verdict::kInFlight);
+  EXPECT_EQ(in_flight.cached, nullptr);  // nothing cached yet
 
   RpcMessage response;
   response.request_id = 7;
   response.status = RpcStatus::kOk;
   cache.Complete(flow, 7, response);
-  EXPECT_EQ(cache.Admit(flow, 7), RpcDedupCache::Verdict::kCompleted);
-  ASSERT_NE(cache.Lookup(flow, 7), nullptr);
-  EXPECT_EQ(cache.Lookup(flow, 7)->request_id, 7u);
+  const RpcDedupCache::Screened replay = cache.Screen(flow, 7);
+  EXPECT_EQ(replay.verdict, RpcDedupCache::Verdict::kCompleted);
+  ASSERT_NE(replay.cached, nullptr);
+  EXPECT_EQ(replay.cached->request_id, 7u);
 
   EXPECT_EQ(cache.stats().admitted, 1u);
   EXPECT_EQ(cache.stats().duplicates_in_flight, 1u);
@@ -218,7 +220,9 @@ TEST(DedupCacheTest, CompleteIsIdempotent) {
   second.request_id = 9;
   second.status = RpcStatus::kInternal;
   cache.Complete(1, 9, second);  // replay path must not re-cache
-  EXPECT_EQ(cache.Lookup(1, 9)->status, RpcStatus::kOk);
+  const RpcDedupCache::Screened replay = cache.Screen(1, 9);
+  ASSERT_NE(replay.cached, nullptr);
+  EXPECT_EQ(replay.cached->status, RpcStatus::kOk);
 }
 
 TEST(DedupCacheTest, CompletedWindowEvictsFifoButNeverInFlight) {

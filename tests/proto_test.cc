@@ -1,8 +1,12 @@
-// Tests for argument marshalling and LRPC message framing.
+// Tests for argument marshalling, LRPC message framing, and the
+// request→reply step the server stacks share (src/nic/server_step).
 #include <gtest/gtest.h>
 
+#include "src/net/headers.h"
+#include "src/nic/server_step.h"
 #include "src/proto/marshal.h"
 #include "src/proto/rpc_message.h"
+#include "src/proto/service.h"
 #include "src/sim/random.h"
 
 namespace lauberhorn {
@@ -209,6 +213,106 @@ TEST(RpcMessageTest, TruncatedPayloadRejected) {
 
 TEST(RpcMessageTest, EmptyInputRejected) {
   EXPECT_FALSE(DecodeRpcMessage(std::span<const uint8_t>{}).has_value());
+}
+
+// --- Shared server step --------------------------------------------------------
+
+TEST(ServerStepTest, ReplyFrameSwapsAddressesAndMirrorsEcn) {
+  struct Case {
+    uint8_t request_ecn;
+    uint8_t reply_ecn;
+    bool echo;
+  };
+  const Case cases[] = {
+      {kEcnNotEct, kEcnNotEct, false},
+      {kEcnEct0, kEcnEct0, false},
+      {kEcnCe, kEcnEct0, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.request_ecn));
+    EthernetHeader eth;
+    eth.src = {2, 0, 0, 0, 0, 1};
+    eth.dst = {2, 0, 0, 0, 0, 2};
+    Ipv4Header ip;
+    ip.src = MakeIpv4(10, 0, 0, 1);
+    ip.dst = MakeIpv4(10, 0, 0, 2);
+    ip.ecn = c.request_ecn;
+    UdpHeader udp;
+    udp.src_port = 40000;
+    udp.dst_port = 7000;
+    RpcMessage response = ReplyTo(3, 4, 99);
+    response.payload = {1, 2, 3};
+
+    const Packet out = ReplyFrame(eth, ip, udp, response);
+    const auto frame = ParseUdpFrame(out);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->eth.src, eth.dst);
+    EXPECT_EQ(frame->eth.dst, eth.src);
+    EXPECT_EQ(frame->ip.src, ip.dst);
+    EXPECT_EQ(frame->ip.dst, ip.src);
+    EXPECT_EQ(frame->udp.src_port, udp.dst_port);
+    EXPECT_EQ(frame->udp.dst_port, udp.src_port);
+    EXPECT_EQ(frame->ip.ecn, c.reply_ecn);
+    const auto decoded = DecodeRpcMessage(frame->payload);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->kind, MessageKind::kResponse);
+    EXPECT_EQ(decoded->request_id, 99u);
+    EXPECT_EQ(decoded->payload, response.payload);
+    EXPECT_EQ((decoded->flags & kLrpcFlagEcnEcho) != 0, c.echo);
+  }
+}
+
+TEST(ServerStepTest, ShedReplyIsAnUnexecutedOverloadedResponse) {
+  const RpcMessage shed = ReplyTo(3, 4, 99, RpcStatus::kOverloaded);
+  EXPECT_EQ(shed.kind, MessageKind::kResponse);
+  EXPECT_EQ(shed.status, RpcStatus::kOverloaded);
+  EXPECT_EQ(shed.service_id, 3u);
+  EXPECT_EQ(shed.method_id, 4u);
+  EXPECT_EQ(shed.request_id, 99u);
+  EXPECT_TRUE(shed.payload.empty());
+}
+
+TEST(ServerStepTest, InvokeMethodReportsStatusPayloadAndServiceTime) {
+  ServiceDef service;
+  service.service_id = 3;
+  MethodDef& add_one = service.methods[1];
+  add_one.method_id = 1;
+  add_one.request_sig = MethodSignature{{WireType::kU64}};
+  add_one.response_sig = MethodSignature{{WireType::kU64}};
+  add_one.handler = [](const std::vector<WireValue>& args) {
+    return std::vector<WireValue>{WireValue::U64(args[0].scalar + 1)};
+  };
+  add_one.SetFixedServiceTime(Microseconds(3));
+
+  const std::vector<WireValue> request = {WireValue::U64(41)};
+  const std::vector<WireValue> reply = {WireValue::U64(42)};
+  std::vector<uint8_t> good_args;
+  ASSERT_TRUE(MarshalArgs(add_one.request_sig, request, good_args));
+  std::vector<uint8_t> answer;
+  ASSERT_TRUE(MarshalArgs(add_one.response_sig, reply, answer));
+
+  struct Case {
+    const char* name;
+    const ServiceDef* service;
+    uint16_t method_id;
+    std::vector<uint8_t> args;
+    RpcStatus status;
+    std::vector<uint8_t> payload;
+    Duration service_time;
+  };
+  const Case cases[] = {
+      {"no service", nullptr, 1, good_args, RpcStatus::kNoSuchService, {}, 0},
+      {"unknown method", &service, 9, good_args, RpcStatus::kNoSuchMethod, {}, 0},
+      {"bad arguments", &service, 1, {1, 2}, RpcStatus::kBadArguments, {}, 0},
+      {"good call", &service, 1, good_args, RpcStatus::kOk, answer, Microseconds(3)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Invocation result = InvokeMethod(c.service, c.method_id, c.args);
+    EXPECT_EQ(result.status, c.status);
+    EXPECT_EQ(result.payload, c.payload);
+    EXPECT_EQ(result.service_time, c.service_time);
+  }
 }
 
 }  // namespace

@@ -83,35 +83,42 @@ TEST(FaultInjectorTest, PeriodicOsCrashCountsEachWindowOnce) {
 // --- NicShadow unit tests ----------------------------------------------------
 
 TEST(NicShadowTest, DedupStateMachineAndEviction) {
-  NicShadow shadow(/*dedup_window=*/2);
+  // The one at-most-once table: the NIC works on it, the OS owns it.
+  RpcDedupCache table(/*completed_window=*/2);
   RpcMessage response;
   response.kind = MessageKind::kResponse;
   response.status = RpcStatus::kOk;
 
-  shadow.DedupAdmit(1, 10);
-  shadow.DedupDelivered(1, 10);
-  shadow.DedupComplete(1, 10, response);
-  EXPECT_EQ(shadow.dedup_count(), 1u);
+  EXPECT_EQ(table.Admit(1, 10), RpcDedupCache::Verdict::kNew);
+  table.MarkDelivered(1, 10);
+  table.Complete(1, 10, response);
+  EXPECT_EQ(table.size(), 1u);
 
   // Complete is idempotent; Abort never touches a completed entry.
-  shadow.DedupComplete(1, 10, response);
-  shadow.DedupAbort(1, 10);
-  EXPECT_EQ(shadow.dedup_count(), 1u);
+  RpcMessage second = response;
+  second.status = RpcStatus::kInternal;
+  table.Complete(1, 10, second);
+  table.Abort(1, 10);
+  EXPECT_EQ(table.size(), 1u);
+  const RpcDedupCache::Screened replay = table.Screen(1, 10);
+  ASSERT_NE(replay.cached, nullptr);
+  EXPECT_EQ(replay.cached->status, RpcStatus::kOk);
 
   // Abort forgets an in-flight entry (admission shed it pre-execution).
-  shadow.DedupAdmit(1, 11);
-  shadow.DedupAbort(1, 11);
-  EXPECT_EQ(shadow.dedup_count(), 1u);
+  table.Admit(1, 11);
+  table.Abort(1, 11);
+  EXPECT_EQ(table.size(), 1u);
 
   // Completed entries evict FIFO past the window; in-flight never evicts.
-  shadow.DedupAdmit(1, 99);  // stays in flight throughout
+  table.Admit(1, 99);  // stays in flight throughout
   for (uint64_t id = 20; id < 25; ++id) {
-    shadow.DedupAdmit(1, id);
-    shadow.DedupComplete(1, id, response);
+    table.Admit(1, id);
+    table.Complete(1, id, response);
   }
   // Window of 2 completed + 1 in-flight survivor.
-  EXPECT_EQ(shadow.dedup_count(), 3u);
-  EXPECT_GT(shadow.writes(), 0u);
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.Admit(1, 99), RpcDedupCache::Verdict::kInFlight);
+  EXPECT_EQ(table.Admit(1, 24), RpcDedupCache::Verdict::kCompleted);
 }
 
 TEST(NicShadowTest, RecordsControlPlaneAllocations) {
@@ -132,38 +139,82 @@ TEST(NicShadowTest, RecordsControlPlaneAllocations) {
 }
 
 TEST(NicShadowTest, ReplayRulesAcrossTwoResets) {
-  // A live NIC to replay into; its own shadow is irrelevant here — the test
-  // drives a standalone shadow holding one entry per dedup state.
+  // A live NIC whose host-owned dedup table is reset in place; the shadow
+  // here is a standalone, empty one so replay touches only the table.
   MachineConfig config;
   config.stack = StackKind::kLauberhorn;
   Machine machine(std::move(config));
   machine.Start();
   LauberhornNic& nic = *machine.lauberhorn_nic();
+  RpcDedupCache& table = nic.dedup();
 
   NicShadow shadow;
   RpcMessage response;
   response.kind = MessageKind::kResponse;
   response.status = RpcStatus::kOk;
   response.request_id = 1;
-  shadow.DedupAdmit(5, 1);
-  shadow.DedupDelivered(5, 1);
-  shadow.DedupComplete(5, 1, response);  // kCompleted: replay the response
-  shadow.DedupAdmit(5, 2);
-  shadow.DedupDelivered(5, 2);  // kDelivered: pin in flight, never re-execute
-  shadow.DedupAdmit(5, 3);      // kInFlight: forget, retransmit runs fresh
+  table.Admit(5, 1);
+  table.MarkDelivered(5, 1);
+  table.Complete(5, 1, response);  // completed: replay the response
+  table.Admit(5, 2);
+  table.MarkDelivered(5, 2);  // delivered: pin in flight, never re-execute
+  table.Admit(5, 3);          // undelivered: forget, retransmit runs fresh
 
-  NicShadow::ReplayCounts first = shadow.ReplayInto(nic);
-  EXPECT_EQ(first.dedup_completed, 1u);
-  EXPECT_EQ(first.dedup_in_flight, 1u);
-  EXPECT_EQ(first.dedup_dropped, 1u);
-  EXPECT_EQ(shadow.dedup_count(), 2u);  // the undelivered entry is gone
+  const NicShadow::ReplayCounts first = shadow.ReplayInto(nic);
+  EXPECT_EQ(first.dedup.completed, 1u);
+  EXPECT_EQ(first.dedup.pinned, 1u);
+  EXPECT_EQ(first.dedup.dropped, 1u);
+  EXPECT_EQ(table.size(), 2u);  // the undelivered entry is gone
+  const RpcDedupCache::Screened completed = table.Screen(5, 1);
+  ASSERT_NE(completed.cached, nullptr);
+  EXPECT_EQ(completed.cached->status, RpcStatus::kOk);
+  EXPECT_EQ(table.Admit(5, 2), RpcDedupCache::Verdict::kInFlight);  // pinned
 
-  // The kDelivered entry was converted to a synthetic terminal: a second
-  // crash replays it as completed instead of re-pinning it forever.
-  NicShadow::ReplayCounts second = shadow.ReplayInto(nic);
-  EXPECT_EQ(second.dedup_completed, 2u);
-  EXPECT_EQ(second.dedup_in_flight, 0u);
-  EXPECT_EQ(second.dedup_dropped, 0u);
+  // The second reset turns the pinned entry into a synthetic kInternal
+  // terminal instead of pinning it forever.
+  const NicShadow::ReplayCounts second = shadow.ReplayInto(nic);
+  EXPECT_EQ(second.dedup.completed, 2u);
+  EXPECT_EQ(second.dedup.pinned, 0u);
+  EXPECT_EQ(second.dedup.dropped, 0u);
+  const RpcDedupCache::Screened retransmit = table.Screen(5, 2);
+  EXPECT_EQ(retransmit.verdict, RpcDedupCache::Verdict::kCompleted);
+  ASSERT_NE(retransmit.cached, nullptr);
+  EXPECT_EQ(retransmit.cached->status, RpcStatus::kInternal);
+  EXPECT_EQ(retransmit.cached->request_id, 2u);
+  EXPECT_EQ(table.Admit(5, 3), RpcDedupCache::Verdict::kNew);
+}
+
+// The table survives a reset as it stands, so FIFO eviction keeps following
+// completion order. Two flows complete in the reverse of their key order; a
+// reset that rebuilt the table in key order would evict the most recently
+// completed entry first and let its retransmit execute again.
+TEST(NicShadowTest, ResetKeepsCompletionOrder) {
+  MachineConfig config;
+  config.stack = StackKind::kLauberhorn;
+  config.server_dedup_window = 2;
+  Machine machine(std::move(config));
+  machine.Start();
+  LauberhornNic& nic = *machine.lauberhorn_nic();
+  RpcDedupCache& table = nic.dedup();
+
+  RpcMessage response;
+  response.kind = MessageKind::kResponse;
+  response.status = RpcStatus::kOk;
+  const uint64_t low_flow = 1;
+  const uint64_t high_flow = 2;
+  for (uint64_t flow : {low_flow, high_flow}) {
+    table.Admit(flow, 7);
+    table.MarkDelivered(flow, 7);
+  }
+  table.Complete(high_flow, 7, response);
+  table.Complete(low_flow, 7, response);  // the most recent completion
+
+  NicShadow().ReplayInto(nic);
+  table.Admit(3, 7);
+  table.Complete(3, 7, response);  // evicts the oldest completion only
+
+  EXPECT_EQ(table.Admit(low_flow, 7), RpcDedupCache::Verdict::kCompleted);
+  EXPECT_EQ(table.Admit(high_flow, 7), RpcDedupCache::Verdict::kNew);
 }
 
 // --- End-to-end recovery through Machine -------------------------------------
@@ -174,7 +225,8 @@ class RecoveryHarness {
  public:
   explicit RecoveryHarness(
       MachineConfig config,
-      std::optional<LauberhornNic::VfConfig> vf_config = std::nullopt)
+      std::optional<LauberhornNic::VfConfig> vf_config = std::nullopt,
+      Duration service_time = Nanoseconds(500))
       : machine_(std::move(config)) {
     ServiceDef def;
     def.service_id = 1;
@@ -189,7 +241,7 @@ class RecoveryHarness {
       ++execs_[args.at(0).scalar];
       return std::vector<WireValue>{args.at(0)};
     };
-    method.SetFixedServiceTime(Nanoseconds(500));
+    method.SetFixedServiceTime(service_time);
     def.methods[0] = std::move(method);
     uint32_t vf = 0;
     if (vf_config.has_value()) {
@@ -305,6 +357,28 @@ TEST(RecoveryE2eTest, WatchdogRecoversNicMidLoadAtMostOnce) {
   EXPECT_EQ(directory.stats().marked_up, 1u);
   EXPECT_EQ(directory.stats().marked_down, 0u);
   EXPECT_EQ(directory.replica(1, 0).health, ReplicaHealth::kUp);
+}
+
+// The NIC dies while a handler runs: the request was delivered, its response
+// dies with the device. The reset pins its dedup entry in flight, so every
+// retransmit is dropped and the client times out — the handler never runs a
+// second time.
+TEST(RecoveryE2eTest, RequestDeliveredBeforeCrashStaysPinned) {
+  MachineConfig config = RecoveryConfig();
+  config.faults.nic_crash.first_crash_at = Microseconds(150);
+  config.faults.nic_crash.reset_latency = Microseconds(50);
+  RecoveryHarness harness(config, std::nullopt, Microseconds(200));
+
+  harness.Run(1, Microseconds(10), Milliseconds(20));
+
+  const auto& stats = harness.machine().nic_recovery()->stats();
+  EXPECT_EQ(stats.recoveries, 1u);
+  EXPECT_EQ(stats.replayed_dedup_in_flight, 1u);
+  EXPECT_EQ(harness.TotalExecutions(), 1u);
+  RpcClient& client = harness.machine().client();
+  EXPECT_GT(client.retransmits(), 0u);
+  EXPECT_EQ(client.timeouts(), 1u);
+  EXPECT_EQ(harness.ok(), 0u);
 }
 
 TEST(RecoveryE2eTest, PeriodicCrashesRecoverEveryTime) {
