@@ -65,6 +65,18 @@ struct DispatchPolicyStats {
   uint64_t retargets = 0;           // request moved to a different endpoint
   uint64_t returned_on_retire = 0;  // local credits pushed back to central
   uint64_t drained_cold = 0;        // central backlog drained via kernel path
+
+  DispatchPolicyStats& operator+=(const DispatchPolicyStats& other) {
+    hot_dispatches += other.hot_dispatches;
+    local_queued += other.local_queued;
+    central_queued += other.central_queued;
+    central_pulled += other.central_pulled;
+    jbsq_replenished += other.jbsq_replenished;
+    retargets += other.retargets;
+    returned_on_retire += other.returned_on_retire;
+    drained_cold += other.drained_cold;
+    return *this;
+  }
 };
 
 const char* ToString(DispatchPolicyKind kind);

@@ -282,8 +282,9 @@ void LauberhornNic::CrashNow() {
   service_quota_.clear();
   cc_senders_.clear();
   // Dispatch-discipline queues are device state; their contents die here.
-  // The *configs* are derived from the OS's ServiceDef/VfConfig on first
-  // use after replay, and the counters persist like stats_.
+  // Each group's resolved config and its counters are kept: the config is
+  // a pure function of the OS's ServiceDef/VfConfig, which replay restores
+  // unchanged, and the counters persist like stats_.
   for (auto& [service_id, group] : groups_) {
     group.central.clear();
     group.sojourn = SojournGate{};
@@ -522,11 +523,9 @@ void LauberhornNic::ReceivePacket(Packet packet) {
       const RpcDedupCache::Screened screen = dedup_.Screen(flow, request->request_id);
       if (screen.verdict == RpcDedupCache::Verdict::kInFlight) {
         // The original is still executing; its response answers this copy.
-        ++stats_.dup_drops_in_flight;
         return;
       }
       if (screen.verdict == RpcDedupCache::Verdict::kCompleted) {
-        ++stats_.dup_replays;
         PreparedRequest replay;
         replay.endpoint = ep_id;
         replay.service_id = request->service_id;
@@ -681,11 +680,9 @@ void LauberhornNic::MaybeRestartCold(Endpoint& ep) {
     ep.pending.pop_front();
     RouteCold(std::move(request));
   }
-  if (!ep.is_kernel && !ep.is_continuation && ep.in_use) {
-    // Central disciplines: if this endpoint was the group's last usable
-    // core, the central queue must drain through the kernel path now.
-    MaybeDrainCentral(ep.service_id);
-  }
+  // Central disciplines: if this endpoint was the group's last usable
+  // core, the central queue must drain through the kernel path now.
+  MaybeDrainCentral(ep);
 }
 
 // -- Dispatch disciplines (§18) -------------------------------------------------
@@ -706,9 +703,19 @@ LauberhornNic::DispatchGroup& LauberhornNic::EnsureGroup(const Endpoint& ep) {
   return groups_.emplace(ep.service_id, std::move(group)).first->second;
 }
 
-const std::vector<uint32_t>& LauberhornNic::GroupMembers(const Endpoint& ep) {
+const LauberhornNic::DispatchGroup* LauberhornNic::CentralGroup(
+    const Endpoint& ep) const {
+  if (ep.is_kernel || ep.is_continuation) {
+    return nullptr;
+  }
+  auto it = groups_.find(ep.service_id);
+  return it != groups_.end() && IsCentral(it->second.config) ? &it->second
+                                                             : nullptr;
+}
+
+const std::vector<uint32_t>& LauberhornNic::Members(uint32_t service_id) const {
   static const std::vector<uint32_t> kNoMembers;
-  const ServiceDef* service = services_.Find(ep.service_id);
+  const ServiceDef* service = services_.Find(service_id);
   if (service == nullptr) {
     return kNoMembers;
   }
@@ -716,49 +723,40 @@ const std::vector<uint32_t>& LauberhornNic::GroupMembers(const Endpoint& ep) {
   return it != port_to_endpoints_.end() ? it->second : kNoMembers;
 }
 
-bool LauberhornNic::EndpointUsable(const Endpoint& ep) const {
-  return ep.in_use && ep.degraded_until <= sim_.Now() &&
-         !ep.retire_requested &&
-         (ep.active || ep.waiting.has_value() || ep.cold_dispatch_inflight ||
-          ep.outstanding.has_value());
+bool LauberhornNic::AnyUsable(const std::vector<uint32_t>& members) const {
+  return std::any_of(members.begin(), members.end(), [this](uint32_t id) {
+    const Endpoint& ep = endpoints_[id];
+    return ep.in_use && ep.degraded_until <= sim_.Now() &&
+           !ep.retire_requested &&
+           (ep.active || ep.waiting.has_value() || ep.cold_dispatch_inflight ||
+            ep.outstanding.has_value());
+  });
 }
 
-ShedReason LauberhornNic::CentralAdmissionCheck(Endpoint& ep,
-                                                DispatchGroup& group) {
+LauberhornNic::Placement LauberhornNic::Place(Endpoint& ep,
+                                              const DispatchGroup* group) {
   const SimTime now = sim_.Now();
-  const ShedReason vf_reason = VfQuotaCheck(ep);
-  if (vf_reason != ShedReason::kNone) {
-    return vf_reason;
-  }
-  if (config_.admission.enabled && config_.admission.quota_rps > 0) {
-    TokenBucket& bucket =
-        service_quota_
-            .try_emplace(ep.service_id, config_.admission.quota_rps,
-                         config_.admission.quota_burst)
-            .first->second;
-    if (!bucket.TryTake(now)) {
-      return ShedReason::kQuota;
+  const size_t base = config_.params.endpoint_queue_depth;
+  if (group == nullptr || !IsCentral(group->config)) {
+    // Per-endpoint disciplines (legacy, d-FCFS): the demuxed endpoint is the
+    // placement; its state picks the path.
+    if (ep.degraded_until > now) {
+      // Demoted: the hot path was not making progress, so bypass it entirely
+      // and let the kernel channels carry this request.
+      ++stats_.degraded_dispatches;
+      return {Placement::Kind::kCold, &ep};
     }
+    const bool wedged = faults_ != nullptr && faults_->NicEndpointWedgedNow(ep.id);
+    if (ep.waiting.has_value() && !wedged) {
+      return {Placement::Kind::kHot, &ep};
+    }
+    if (ep.active || ep.outstanding.has_value() || !ep.pending.empty() ||
+        ep.cold_dispatch_inflight || ep.waiting.has_value()) {
+      return {Placement::Kind::kPrivate, &ep, EffectiveDepthLimit(ep, base)};
+    }
+    return {Placement::Kind::kCold, &ep};
   }
-  // The sojourn gate must watch the queue this request would actually join:
-  // under c-FCFS / JBSQ that is the service's central queue, not the
-  // (empty by design) per-endpoint queue.
-  const AdmissionConfig& adm =
-      (ep.vf != 0 && vfs_[ep.vf].config.admission.enabled)
-          ? vfs_[ep.vf].config.admission
-          : config_.admission;
-  const Duration oldest =
-      group.central.empty() ? 0 : now - group.central.front().wire_arrival;
-  if (group.sojourn.ShouldShed(now, oldest, adm.sojourn)) {
-    return ShedReason::kSojourn;
-  }
-  return ShedReason::kNone;
-}
-
-bool LauberhornNic::CentralDispatch(Endpoint& ep, DispatchGroup& group,
-                                    PreparedRequest& request) {
-  const SimTime now = sim_.Now();
-  const std::vector<uint32_t>& members = GroupMembers(ep);
+  const std::vector<uint32_t>& members = Members(ep.service_id);
   // Hot path first: any parked core in the group takes the request now
   // (lowest id wins, for replay determinism). This is what makes c-FCFS
   // work-conserving: a core only parks when it is provably idle.
@@ -772,34 +770,11 @@ bool LauberhornNic::CentralDispatch(Endpoint& ep, DispatchGroup& group,
     }
   }
   if (parked != UINT32_MAX) {
-    Endpoint& target = endpoints_[parked];
-    // Overload gates never fire on the hot path (a parked core means
-    // headroom), but the tenant's rate contract still binds.
-    const ShedReason vf_reason = VfQuotaCheck(target);
-    if (vf_reason != ShedReason::kNone) {
-      Shed(target, request, vf_reason);
-      return true;
-    }
-    if (request.endpoint != parked) {
-      ++group.stats.retargets;
-      request.endpoint = parked;
-    }
-    ++stats_.hot_dispatches;
-    ++group.stats.hot_dispatches;
-    trace_.Emit(now, TraceEvent::kDispatchHot, target.id,
-                static_cast<uint32_t>(request.request_id));
-    if (spans_ != nullptr) {
-      spans_->Record(request.request_id, SpanStage::kAdmitted, now);
-      spans_->Record(request.request_id, SpanStage::kDispatched, now);
-      spans_->Annotate(request.request_id, SpanDispatch::kHot, target.id);
-    }
-    DeliverToWaiting(target, std::move(request));
-    ReplenishJbsq(target);  // top the core's runway back up to k
-    return true;
+    return {Placement::Kind::kHot, &endpoints_[parked]};
   }
   // JBSQ(k): a busy core with spare credit takes the request onto its
   // private runway — fewest resident requests wins, ties to the lowest id.
-  if (group.config.kind == DispatchPolicyKind::kJbsq) {
+  if (group->config.kind == DispatchPolicyKind::kJbsq) {
     uint32_t best = UINT32_MAX;
     size_t best_resident = SIZE_MAX;
     for (uint32_t id : members) {
@@ -809,7 +784,7 @@ bool LauberhornNic::CentralDispatch(Endpoint& ep, DispatchGroup& group,
         continue;
       }
       const size_t resident = Resident(member);
-      if (resident < group.config.jbsq_k &&
+      if (resident < group->config.jbsq_k &&
           (resident < best_resident ||
            (resident == best_resident && id < best))) {
         best = id;
@@ -818,158 +793,80 @@ bool LauberhornNic::CentralDispatch(Endpoint& ep, DispatchGroup& group,
     }
     if (best != UINT32_MAX) {
       Endpoint& target = endpoints_[best];
-      const size_t depth_limit =
-          EffectiveDepthLimit(target, config_.params.endpoint_queue_depth);
-      if (target.pending.size() >= depth_limit) {
-        Shed(target, request, ShedReason::kQueueFull);
-        return true;
-      }
-      if (AdmissionActive(target)) {
-        const ShedReason reason = AdmissionCheck(target, /*cold=*/false);
-        if (reason != ShedReason::kNone) {
-          Shed(target, request, reason);
-          return true;
-        }
-      }
-      if (request.endpoint != best) {
-        ++group.stats.retargets;
-        request.endpoint = best;
-      }
-      ++stats_.queued_dispatches;
-      ++group.stats.local_queued;
-      trace_.Emit(now, TraceEvent::kDispatchQueued, target.id,
-                  static_cast<uint32_t>(request.request_id));
-      if (spans_ != nullptr) {
-        spans_->Record(request.request_id, SpanStage::kAdmitted, now);
-        spans_->Record(request.request_id, SpanStage::kDispatched, now);
-        spans_->Annotate(request.request_id, SpanDispatch::kQueued, target.id);
-      }
-      target.pending.push_back(std::move(request));
-      return true;
+      return {Placement::Kind::kPrivate, &target,
+              EffectiveDepthLimit(target, base)};
     }
   }
   // Central queue, as long as someone in the group holds (or is acquiring)
-  // a core. Nobody attached → the caller routes cold, which recruits one.
-  bool attached = false;
-  for (uint32_t id : members) {
-    if (EndpointUsable(endpoints_[id])) {
-      attached = true;
-      break;
-    }
-  }
-  if (!attached) {
-    return false;
+  // a core. Nobody attached → cold, which recruits one via the kernel path.
+  if (!AnyUsable(members)) {
+    return {Placement::Kind::kCold, &ep};
   }
   // The shared queue absorbs what the per-endpoint queues would have held
   // jointly: one endpoint budget per member.
-  const size_t limit =
-      EffectiveDepthLimit(ep, config_.params.endpoint_queue_depth) *
-      std::max<size_t>(1, members.size());
-  if (group.central.size() >= limit) {
-    Shed(ep, request, ShedReason::kQueueFull);
-    return true;
-  }
-  if (AdmissionActive(ep)) {
-    const ShedReason reason = CentralAdmissionCheck(ep, group);
-    if (reason != ShedReason::kNone) {
-      Shed(ep, request, reason);
-      return true;
+  return {Placement::Kind::kCentral, &ep,
+          EffectiveDepthLimit(ep, base) * std::max<size_t>(1, members.size())};
+}
+
+void LauberhornNic::Retarget(PreparedRequest& request, const Endpoint& target,
+                             DispatchPolicyStats* counters) {
+  if (request.endpoint != target.id) {
+    if (counters != nullptr) {
+      ++counters->retargets;
     }
+    request.endpoint = target.id;
   }
-  ++stats_.queued_dispatches;
-  ++group.stats.central_queued;
-  trace_.Emit(now, TraceEvent::kDispatchQueued, ep.id,
-              static_cast<uint32_t>(request.request_id));
-  if (spans_ != nullptr) {
-    spans_->Record(request.request_id, SpanStage::kAdmitted, now);
-    spans_->Record(request.request_id, SpanStage::kDispatched, now);
-    spans_->Annotate(request.request_id, SpanDispatch::kQueued, ep.id);
+}
+
+LauberhornNic::PreparedRequest LauberhornNic::TakeCentralHead(
+    DispatchGroup& group, const Endpoint* target, uint64_t& counter) {
+  PreparedRequest request = std::move(group.central.front());
+  group.central.pop_front();
+  if (target != nullptr) {
+    Retarget(request, *target, &group.stats);
   }
-  group.central.push_back(std::move(request));
-  return true;
+  ++counter;
+  return request;
 }
 
 void LauberhornNic::ReplenishJbsq(Endpoint& ep) {
-  if (ep.is_kernel || ep.is_continuation) {
+  DispatchGroup* group = CentralGroup(ep);
+  if (group == nullptr || group->config.kind != DispatchPolicyKind::kJbsq ||
+      !ep.active || ep.retire_requested || ep.degraded_until > sim_.Now()) {
     return;
   }
-  auto it = groups_.find(ep.service_id);
-  if (it == groups_.end() ||
-      it->second.config.kind != DispatchPolicyKind::kJbsq) {
-    return;
-  }
-  DispatchGroup& group = it->second;
-  if (!ep.active || ep.retire_requested || ep.degraded_until > sim_.Now()) {
-    return;
-  }
-  while (Resident(ep) < group.config.jbsq_k && !group.central.empty()) {
-    PreparedRequest request = std::move(group.central.front());
-    group.central.pop_front();
-    if (request.endpoint != ep.id) {
-      ++group.stats.retargets;
-      request.endpoint = ep.id;
-    }
-    ++group.stats.jbsq_replenished;
-    ep.pending.push_back(std::move(request));
+  while (Resident(ep) < group->config.jbsq_k && !group->central.empty()) {
+    ep.pending.push_back(
+        TakeCentralHead(*group, &ep, group->stats.jbsq_replenished));
   }
 }
 
 void LauberhornNic::ReturnLocalQueue(Endpoint& ep) {
-  if (ep.is_kernel || ep.is_continuation || ep.pending.empty()) {
-    return;
-  }
-  auto it = groups_.find(ep.service_id);
-  if (it == groups_.end() || !IsCentral(it->second.config)) {
+  DispatchGroup* group = ep.pending.empty() ? nullptr : CentralGroup(ep);
+  if (group == nullptr) {
     return;
   }
   // The unspent credits go back to the *front* of the central queue in
   // their original order: they are older than anything queued behind them,
   // and FCFS across the group is the discipline's whole contract.
-  DispatchGroup& group = it->second;
-  group.stats.returned_on_retire += ep.pending.size();
+  group->stats.returned_on_retire += ep.pending.size();
   while (!ep.pending.empty()) {
-    group.central.push_front(std::move(ep.pending.back()));
+    group->central.push_front(std::move(ep.pending.back()));
     ep.pending.pop_back();
   }
 }
 
-void LauberhornNic::MaybeDrainCentral(uint32_t service_id) {
-  auto it = groups_.find(service_id);
-  if (it == groups_.end() || it->second.central.empty()) {
-    return;
-  }
-  DispatchGroup& group = it->second;
-  const ServiceDef* service = services_.Find(service_id);
-  if (service != nullptr) {
-    auto members = port_to_endpoints_.find(service->udp_port);
-    if (members != port_to_endpoints_.end()) {
-      for (uint32_t id : members->second) {
-        if (EndpointUsable(endpoints_[id])) {
-          return;  // a live core will poll and pull the queue
-        }
-      }
-    }
+void LauberhornNic::MaybeDrainCentral(Endpoint& ep) {
+  DispatchGroup* group = ep.in_use ? CentralGroup(ep) : nullptr;
+  if (group == nullptr || group->central.empty() ||
+      AnyUsable(Members(ep.service_id))) {
+    return;  // nothing queued, or a live core will poll and pull it
   }
   // Every member retired or degraded: the central queue would strand behind
   // cores that will never poll again. Drain it through the kernel path.
-  while (!group.central.empty()) {
-    PreparedRequest request = std::move(group.central.front());
-    group.central.pop_front();
-    ++group.stats.drained_cold;
-    RouteCold(std::move(request));
+  while (!group->central.empty()) {
+    RouteCold(TakeCentralHead(*group, nullptr, group->stats.drained_cold));
   }
-}
-
-bool LauberhornNic::HasBacklog(Endpoint& ep) {
-  if (!ep.pending.empty()) {
-    return true;
-  }
-  if (ep.is_kernel || ep.is_continuation) {
-    return false;
-  }
-  auto it = groups_.find(ep.service_id);
-  return it != groups_.end() && IsCentral(it->second.config) &&
-         !it->second.central.empty();
 }
 
 void LauberhornNic::DispatchPrepared(PreparedRequest request) {
@@ -994,106 +891,74 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
     }
     return;
   }
-  DispatchGroup* dfcfs = nullptr;
-  if (!ep.is_kernel) {
-    DispatchGroup& group = EnsureGroup(ep);
-    if (IsCentral(group.config)) {
-      if (CentralDispatch(ep, group, request)) {
-        return;
-      }
-      // No group endpoint holds (or is acquiring) a core: recruit one
-      // through the kernel path, exactly like the per-endpoint bootstrap.
-      if (AdmissionActive(ep)) {
-        const ShedReason reason = AdmissionCheck(ep, /*cold=*/true);
-        if (reason != ShedReason::kNone) {
-          Shed(ep, request, reason);
-          return;
-        }
-      }
+  DispatchGroup* group = ep.is_kernel ? nullptr : &EnsureGroup(ep);
+  // Legacy services keep no per-discipline counters.
+  DispatchPolicyStats* counters =
+      group != nullptr && group->config.kind != DispatchPolicyKind::kLegacy
+          ? &group->stats
+          : nullptr;
+  const Placement placement = Place(ep, group);
+  Endpoint& target = *placement.target;
+  if (placement.kind == Placement::Kind::kCold) {
+    // The cold gate watches the shared cold queue with the device-wide
+    // sojourn targets, VF endpoints included.
+    if (Admitted(target, request, cold_queue_, cold_sojourn_,
+                 config_.admission.sojourn)) {
       RouteCold(std::move(request));
-      return;
     }
-    if (group.config.kind == DispatchPolicyKind::kDFcfs) {
-      // d-FCFS rides the per-endpoint path below; tag its group so the
-      // policy counters attribute the traffic to the discipline.
-      dfcfs = &group;
-    }
-  }
-  if (ep.degraded_until > sim_.Now()) {
-    // Demoted: the hot path was not making progress, so bypass it entirely
-    // and let the kernel channels carry this request.
-    ++stats_.degraded_dispatches;
-    if (AdmissionActive(ep)) {
-      const ShedReason reason = AdmissionCheck(ep, /*cold=*/true);
-      if (reason != ShedReason::kNone) {
-        Shed(ep, request, reason);
-        return;
-      }
-    }
-    RouteCold(std::move(request));
     return;
   }
-  const bool wedged = faults_ != nullptr && faults_->NicEndpointWedgedNow(ep.id);
-  if (ep.waiting.has_value() && !wedged) {
+  const bool hot = placement.kind == Placement::Kind::kHot;
+  const bool central = placement.kind == Placement::Kind::kCentral;
+  std::deque<PreparedRequest>& queue = central ? group->central : target.pending;
+  if (hot) {
     // The overload gates never fire here — a parked core means the system
     // has headroom — but the tenant's rate contract still binds: a VF whose
     // cores happen to be idle must not dispatch above its quota.
-    const ShedReason vf_reason = VfQuotaCheck(ep);
+    const ShedReason vf_reason = VfQuotaCheck(target);
     if (vf_reason != ShedReason::kNone) {
-      Shed(ep, request, vf_reason);
+      Shed(target, request, vf_reason);
       return;
     }
-    ++stats_.hot_dispatches;
-    if (dfcfs != nullptr) {
-      ++dfcfs->stats.hot_dispatches;
+  } else {
+    if (queue.size() >= placement.depth_limit) {
+      Shed(target, request, ShedReason::kQueueFull);
+      return;
     }
-    trace_.Emit(sim_.Now(), TraceEvent::kDispatchHot, ep.id,
-                static_cast<uint32_t>(request.request_id));
-    if (spans_ != nullptr) {
-      spans_->Record(request.request_id, SpanStage::kAdmitted, sim_.Now());
-      spans_->Record(request.request_id, SpanStage::kDispatched, sim_.Now());
-      spans_->Annotate(request.request_id, SpanDispatch::kHot, ep.id);
+    // The sojourn gate watches the queue this request joins; a VF endpoint's
+    // gate runs with the tenant's own targets, PF endpoints with the
+    // device-wide ones.
+    const AdmissionConfig& vf_admission = vfs_[target.vf].config.admission;
+    const SojournConfig& sojourn = target.vf != 0 && vf_admission.enabled
+                                       ? vf_admission.sojourn
+                                       : config_.admission.sojourn;
+    if (!Admitted(target, request, queue,
+                  central ? group->sojourn : target.sojourn_gate, sojourn)) {
+      return;
     }
-    DeliverToWaiting(ep, std::move(request));
+  }
+  Retarget(request, target, counters);
+  ++(hot ? stats_.hot_dispatches : stats_.queued_dispatches);
+  if (counters != nullptr) {
+    ++(hot       ? counters->hot_dispatches
+       : central ? counters->central_queued
+                 : counters->local_queued);
+  }
+  const SimTime now = sim_.Now();
+  trace_.Emit(now, hot ? TraceEvent::kDispatchHot : TraceEvent::kDispatchQueued,
+              target.id, static_cast<uint32_t>(request.request_id));
+  if (spans_ != nullptr) {
+    spans_->Record(request.request_id, SpanStage::kAdmitted, now);
+    spans_->Record(request.request_id, SpanStage::kDispatched, now);
+    spans_->Annotate(request.request_id,
+                     hot ? SpanDispatch::kHot : SpanDispatch::kQueued, target.id);
+  }
+  if (!hot) {
+    queue.push_back(std::move(request));
     return;
   }
-  if (ep.active || ep.outstanding.has_value() || !ep.pending.empty() ||
-      ep.cold_dispatch_inflight || ep.waiting.has_value()) {
-    const size_t depth_limit =
-        EffectiveDepthLimit(ep, config_.params.endpoint_queue_depth);
-    if (ep.pending.size() >= depth_limit) {
-      Shed(ep, request, ShedReason::kQueueFull);
-      return;
-    }
-    if (AdmissionActive(ep)) {
-      const ShedReason reason = AdmissionCheck(ep, /*cold=*/false);
-      if (reason != ShedReason::kNone) {
-        Shed(ep, request, reason);
-        return;
-      }
-    }
-    ++stats_.queued_dispatches;
-    if (dfcfs != nullptr) {
-      ++dfcfs->stats.local_queued;
-    }
-    trace_.Emit(sim_.Now(), TraceEvent::kDispatchQueued, ep.id,
-                static_cast<uint32_t>(request.request_id));
-    if (spans_ != nullptr) {
-      spans_->Record(request.request_id, SpanStage::kAdmitted, sim_.Now());
-      spans_->Record(request.request_id, SpanStage::kDispatched, sim_.Now());
-      spans_->Annotate(request.request_id, SpanDispatch::kQueued, ep.id);
-    }
-    ep.pending.push_back(std::move(request));
-    return;
-  }
-  if (AdmissionActive(ep)) {
-    const ShedReason reason = AdmissionCheck(ep, /*cold=*/true);
-    if (reason != ShedReason::kNone) {
-      Shed(ep, request, reason);
-      return;
-    }
-  }
-  RouteCold(std::move(request));
+  DeliverToWaiting(target, std::move(request));
+  ReplenishJbsq(target);  // JBSQ: top the core's runway back up to k
 }
 
 bool LauberhornNic::AdmissionActive(const Endpoint& ep) const {
@@ -1135,45 +1000,39 @@ ShedReason LauberhornNic::VfQuotaCheck(Endpoint& ep) {
   return ShedReason::kNone;
 }
 
-ShedReason LauberhornNic::AdmissionCheck(Endpoint& ep, bool cold) {
-  const SimTime now = sim_.Now();
-  const ShedReason vf_reason = VfQuotaCheck(ep);
-  if (vf_reason != ShedReason::kNone) {
-    return vf_reason;
+bool LauberhornNic::Admitted(Endpoint& ep, const PreparedRequest& request,
+                             const std::deque<PreparedRequest>& queue,
+                             SojournGate& gate, const SojournConfig& sojourn) {
+  if (!AdmissionActive(ep)) {
+    return true;
   }
-  if (config_.admission.enabled && config_.admission.quota_rps > 0) {
+  const SimTime now = sim_.Now();
+  ShedReason reason = VfQuotaCheck(ep);
+  if (reason == ShedReason::kNone && config_.admission.enabled &&
+      config_.admission.quota_rps > 0) {
     TokenBucket& bucket =
         service_quota_
             .try_emplace(ep.service_id, config_.admission.quota_rps,
                          config_.admission.quota_burst)
             .first->second;
     if (!bucket.TryTake(now)) {
-      return ShedReason::kQuota;
+      reason = ShedReason::kQuota;
     }
   }
-  // CoDel-style check over the queue this request would join: sojourn time
-  // of the queue head (wire arrival to now), gated per endpoint for the
-  // NIC-side pending queue and globally for the shared cold queue.
-  if (cold) {
+  if (reason == ShedReason::kNone) {
+    // CoDel-style check: sojourn time of the queue head (wire arrival to
+    // now) of the queue this request would join.
     const Duration oldest =
-        cold_queue_.empty() ? 0 : now - cold_queue_.front().wire_arrival;
-    if (cold_sojourn_.ShouldShed(now, oldest, config_.admission.sojourn)) {
-      return ShedReason::kSojourn;
-    }
-  } else {
-    // A VF endpoint's gate runs with the tenant's own sojourn targets; PF
-    // endpoints keep the device-wide config.
-    const AdmissionConfig& adm =
-        (ep.vf != 0 && vfs_[ep.vf].config.admission.enabled)
-            ? vfs_[ep.vf].config.admission
-            : config_.admission;
-    const Duration oldest =
-        ep.pending.empty() ? 0 : now - ep.pending.front().wire_arrival;
-    if (ep.sojourn_gate.ShouldShed(now, oldest, adm.sojourn)) {
-      return ShedReason::kSojourn;
+        queue.empty() ? 0 : now - queue.front().wire_arrival;
+    if (gate.ShouldShed(now, oldest, sojourn)) {
+      reason = ShedReason::kSojourn;
     }
   }
-  return ShedReason::kNone;
+  if (reason == ShedReason::kNone) {
+    return true;
+  }
+  Shed(ep, request, reason);
+  return false;
 }
 
 void LauberhornNic::Shed(Endpoint& ep, const PreparedRequest& request,
@@ -1229,15 +1088,9 @@ uint16_t LauberhornNic::ComputeGrant(const Endpoint& ep) {
   const size_t limit =
       EffectiveDepthLimit(ep, config_.params.endpoint_queue_depth);
   // Under a central discipline the backlog a new sender would join lives in
-  // the service's shared queue, so grants must see it (DispatchBacklog);
-  // per-endpoint disciplines keep the private-queue depth.
-  size_t depth = ep.pending.size();
-  if (!ep.is_kernel && !ep.is_continuation) {
-    auto group = groups_.find(ep.service_id);
-    if (group != groups_.end() && IsCentral(group->second.config)) {
-      depth += group->second.central.size();
-    }
-  }
+  // the service's shared queue, so grants must see it; per-endpoint
+  // disciplines keep the private-queue depth.
+  const size_t depth = DispatchBacklog(ep.id);
   const size_t headroom = depth >= limit ? 0 : limit - depth;
   size_t share = headroom / std::max<size_t>(1, active);
   if (grant_ramp_until_ > now) {
@@ -1461,7 +1314,7 @@ void LauberhornNic::ArmTryagain(Endpoint& ep) {
     }
     endpoint.waiting->tryagain_event = kInvalidEventId;
     if (!endpoint.is_kernel) {
-      if (HasBacklog(endpoint)) {
+      if (DispatchBacklog(ep_id) > 0) {
         // TRYAGAIN with work queued — on the endpoint's own queue or (for
         // c-FCFS / JBSQ) the service's central queue: the hot path is not
         // delivering (the wedge signature). Consecutive occurrences demote
@@ -1499,9 +1352,7 @@ void LauberhornNic::DegradeEndpoint(Endpoint& ep) {
   for (PreparedRequest& request : backlog) {
     RouteCold(std::move(request));
   }
-  if (!ep.is_kernel && !ep.is_continuation && ep.in_use) {
-    MaybeDrainCentral(ep.service_id);
-  }
+  MaybeDrainCentral(ep);
 }
 
 // -- Coherence-side (home agent) --------------------------------------------------
@@ -1586,24 +1437,16 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
       DeliverToWaiting(ep, std::move(request));
       return;
     }
-    if (!ep.is_continuation) {
-      // c-FCFS / JBSQ: an idle parked core pulls the central head directly.
-      auto it = groups_.find(ep.service_id);
-      if (it != groups_.end() && IsCentral(it->second.config) &&
-          !it->second.central.empty() && ep.degraded_until <= sim_.Now()) {
-        DispatchGroup& group = it->second;
-        PreparedRequest request = std::move(group.central.front());
-        group.central.pop_front();
-        if (request.endpoint != ep.id) {
-          ++group.stats.retargets;
-          request.endpoint = ep.id;
-        }
-        ++group.stats.central_pulled;
-        ++stats_.hot_dispatches;
-        DeliverToWaiting(ep, std::move(request));
-        ReplenishJbsq(ep);
-        return;
-      }
+    // c-FCFS / JBSQ: an idle parked core pulls the central head directly.
+    DispatchGroup* group = CentralGroup(ep);
+    if (group != nullptr && !group->central.empty() &&
+        ep.degraded_until <= sim_.Now()) {
+      PreparedRequest request =
+          TakeCentralHead(*group, &ep, group->stats.central_pulled);
+      ++stats_.hot_dispatches;
+      DeliverToWaiting(ep, std::move(request));
+      ReplenishJbsq(ep);
+      return;
     }
   }
   ArmTryagain(ep);
@@ -1789,32 +1632,20 @@ size_t LauberhornNic::QueueDepth(uint32_t endpoint) const {
 
 size_t LauberhornNic::DispatchBacklog(uint32_t endpoint) const {
   const Endpoint& ep = endpoints_[endpoint];
-  size_t depth = ep.pending.size();
-  if (!ep.is_kernel && !ep.is_continuation) {
-    auto it = groups_.find(ep.service_id);
-    if (it != groups_.end() && IsCentral(it->second.config)) {
-      depth += it->second.central.size();
-    }
-  }
-  return depth;
+  const DispatchGroup* group = CentralGroup(ep);
+  return ep.pending.size() + (group != nullptr ? group->central.size() : 0);
 }
 
 size_t LauberhornNic::CentralQueueDepth(uint32_t service_id) const {
-  auto it = groups_.find(service_id);
-  return it != groups_.end() ? it->second.central.size() : 0;
+  const std::vector<uint32_t>& members = Members(service_id);
+  const DispatchGroup* group =
+      members.empty() ? nullptr : CentralGroup(endpoints_[members.front()]);
+  return group != nullptr ? group->central.size() : 0;
 }
 
 size_t LauberhornNic::ServiceBacklog(uint32_t service_id) const {
   size_t depth = CentralQueueDepth(service_id);
-  const ServiceDef* service = services_.Find(service_id);
-  if (service == nullptr) {
-    return depth;
-  }
-  auto it = port_to_endpoints_.find(service->udp_port);
-  if (it == port_to_endpoints_.end()) {
-    return depth;
-  }
-  for (uint32_t id : it->second) {
+  for (uint32_t id : Members(service_id)) {
     depth += endpoints_[id].pending.size();
   }
   return depth;
@@ -1825,28 +1656,27 @@ DispatchPolicyConfig LauberhornNic::ServicePolicy(uint32_t service_id) {
   if (service == nullptr) {
     return DispatchPolicyConfig{};
   }
-  auto it = port_to_endpoints_.find(service->udp_port);
-  if (it != port_to_endpoints_.end() && !it->second.empty()) {
-    return EnsureGroup(endpoints_[it->second.front()]).config;
-  }
-  return service->dispatch;
+  const std::vector<uint32_t>& members = Members(service_id);
+  return members.empty() ? service->dispatch
+                         : EnsureGroup(endpoints_[members.front()]).config;
 }
 
 std::vector<std::pair<DispatchPolicyKind, DispatchPolicyStats>>
 LauberhornNic::PolicyStatsSnapshot() const {
   std::map<DispatchPolicyKind, DispatchPolicyStats> by_kind;
   for (const auto& [service_id, group] : groups_) {
-    DispatchPolicyStats& agg = by_kind[group.config.kind];
-    agg.hot_dispatches += group.stats.hot_dispatches;
-    agg.local_queued += group.stats.local_queued;
-    agg.central_queued += group.stats.central_queued;
-    agg.central_pulled += group.stats.central_pulled;
-    agg.jbsq_replenished += group.stats.jbsq_replenished;
-    agg.retargets += group.stats.retargets;
-    agg.returned_on_retire += group.stats.returned_on_retire;
-    agg.drained_cold += group.stats.drained_cold;
+    by_kind[group.config.kind] += group.stats;
   }
   return {by_kind.begin(), by_kind.end()};
+}
+
+LauberhornNic::Stats LauberhornNic::stats() const {
+  // The at-most-once counters live in the host-owned dedup table; the NIC
+  // reports them instead of keeping a second copy.
+  Stats out = stats_;
+  out.dup_drops_in_flight = dedup_.stats().duplicates_in_flight;
+  out.dup_replays = dedup_.stats().duplicates_replayed;
+  return out;
 }
 
 std::map<int, LauberhornNic::CoreOccupancy>

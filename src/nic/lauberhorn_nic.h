@@ -165,7 +165,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     uint64_t dma_fallback_tx = 0;
     uint64_t dispatcher_wakeups = 0;
     uint64_t crypto_failures = 0;
-    // Reliability layer.
+    // Reliability layer. The two dedup counters are read from the host-owned
+    // table (RpcDedupCache::Stats) when stats() builds its copy.
     uint64_t dup_drops_in_flight = 0;  // duplicate of an executing request
     uint64_t dup_replays = 0;          // duplicate answered from the cache
     uint64_t degradations = 0;         // endpoint demoted to the cold path
@@ -324,7 +325,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
 
   // -- Introspection -------------------------------------------------------------
 
-  const Stats& stats() const { return stats_; }
+  // A snapshot: holding it across more simulation does not update it.
+  Stats stats() const;
   // Per-endpoint shed counters (satellite of the overload work: tail drops
   // must be attributable, not silent).
   struct EndpointSheds {
@@ -354,7 +356,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // VF's default, then legacy).
   DispatchPolicyConfig ServicePolicy(uint32_t service_id);
   // Per-policy counters summed over the services running each discipline,
-  // exported as dispatch/<policy>/* (only disciplines with traffic appear).
+  // exported as dispatch/<policy>/*. A discipline appears once some service
+  // resolved to it (its first request, or a ServicePolicy call); legacy
+  // services keep no counters, so dispatch/legacy/* reads zero.
   std::vector<std::pair<DispatchPolicyKind, DispatchPolicyStats>>
   PolicyStatsSnapshot() const;
   // Per-core occupancy (§18 satellite): dispatches delivered to the core,
@@ -457,10 +461,10 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     VfStats stats;
   };
 
-  // Per-service dispatch-discipline state (§18). The config is *derived*
-  // volatile state: it is re-resolved from the OS's ServiceDef / VfConfig
-  // (both of which survive a crash) on first use, so CrashNow only has to
-  // wipe the queue contents. Counters persist across resets like stats_.
+  // Per-service dispatch-discipline state (§18). The config is resolved once,
+  // on the service's first use, from the OS's ServiceDef / VfConfig. CrashNow
+  // keeps it (replay restores those inputs unchanged) and wipes only the
+  // central queue and its gate. Counters persist across resets like stats_.
   struct DispatchGroup {
     DispatchPolicyConfig config;
     std::deque<PreparedRequest> central;  // c-FCFS / JBSQ shared queue
@@ -488,6 +492,10 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Demotes a non-progressing endpoint to the cold path for a backoff window
   // and drains its NIC-side backlog through the kernel channels.
   void DegradeEndpoint(Endpoint& ep);
+  // Places a prepared request (Place) and runs that placement's one tail:
+  // hot = VF quota, count, stamp, deliver; private / central = depth limit,
+  // Admitted, count, stamp, enqueue; cold = Admitted over the cold queue,
+  // then RouteCold.
   void DispatchPrepared(PreparedRequest request);
   void RouteCold(PreparedRequest request);
   // Sheds `request` with a NIC-generated kOverloaded reply: bumps the global
@@ -501,11 +509,13 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Tightest queue-depth bound over `base`: device-wide admission limit,
   // then the owning VF's limit.
   size_t EffectiveDepthLimit(const Endpoint& ep, size_t base) const;
-  // Admission policy: per-VF tenant quota first (the outer trust boundary),
-  // then per-service quota, then the sojourn gate over the queue this
-  // request would join (endpoint pending queue, or the shared cold queue
-  // when `cold`). kNone = admit.
-  ShedReason AdmissionCheck(Endpoint& ep, bool cold);
+  // The one admission step for a request about to join `queue`: per-VF
+  // tenant quota first (the outer trust boundary), then the per-service
+  // quota, then `gate` over `queue`'s head with `sojourn` targets. Sheds
+  // the request against `ep` and returns false when a gate says no.
+  bool Admitted(Endpoint& ep, const PreparedRequest& request,
+                const std::deque<PreparedRequest>& queue, SojournGate& gate,
+                const SojournConfig& sojourn);
   // The VF tenant bucket alone. Unlike the overload gates, this is a rate
   // contract: it also meters the hot path, where a parked core would
   // otherwise let a surging tenant dispatch for free. kNone = admit.
@@ -523,6 +533,25 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   uint32_t PickEndpoint(const std::vector<uint32_t>& candidates,
                         const Ipv4Header& ip, const UdpHeader& udp);
   // -- Dispatch disciplines (§18) ------------------------------------------
+  // Where one request goes. Place is the only reader of the discipline on
+  // the dispatch path; DispatchPrepared runs one tail per kind.
+  struct Placement {
+    enum class Kind {
+      kHot,      // fill target's parked load now
+      kPrivate,  // join target's private queue (per-endpoint, JBSQ runway)
+      kCentral,  // join the service's central queue, charged to target
+      kCold,     // the kernel path through the cold queue
+    };
+    Kind kind = Kind::kCold;
+    Endpoint* target = nullptr;  // takes the request, or is charged for it
+    size_t depth_limit = 0;      // kPrivate / kCentral: the queue's bound
+  };
+  // Per-endpoint disciplines (legacy, d-FCFS, kernel channels) place on the
+  // demuxed endpoint by its state. c-FCFS / JBSQ try, in order: a parked
+  // member (hot), a JBSQ member with spare credit (its runway), the central
+  // queue while any member is usable, else cold (which recruits a core).
+  // Counts degraded_dispatches; otherwise free of side effects.
+  Placement Place(Endpoint& ep, const DispatchGroup* group);
   // Lazily resolves the group for ep's service: ServiceDef.dispatch wins,
   // then the owning VF's default, then legacy.
   DispatchGroup& EnsureGroup(const Endpoint& ep);
@@ -531,36 +560,38 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     return config.kind == DispatchPolicyKind::kCFcfs ||
            config.kind == DispatchPolicyKind::kJbsq;
   }
-  // All service endpoints sharing ep's service (the demux candidates).
-  const std::vector<uint32_t>& GroupMembers(const Endpoint& ep);
+  // ep's group when its service runs c-FCFS / JBSQ; null for per-endpoint
+  // disciplines, kernel channels and continuations.
+  const DispatchGroup* CentralGroup(const Endpoint& ep) const;
+  DispatchGroup* CentralGroup(const Endpoint& ep) {
+    return const_cast<DispatchGroup*>(std::as_const(*this).CentralGroup(ep));
+  }
+  // All service endpoints of a service (the demux candidates).
+  const std::vector<uint32_t>& Members(uint32_t service_id) const;
+  // True when some member can make forward progress on new work.
+  bool AnyUsable(const std::vector<uint32_t>& members) const;
   // Requests resident at an endpoint's core: in-flight + private queue.
   static size_t Resident(const Endpoint& ep) {
     return (ep.outstanding.has_value() ? 1 : 0) + ep.pending.size();
   }
-  // True when the endpoint can make forward progress on new work.
-  bool EndpointUsable(const Endpoint& ep) const;
-  // Central-queue admission: VF quota, service quota, then the group's
-  // sojourn gate over the central head. kNone = admit.
-  ShedReason CentralAdmissionCheck(Endpoint& ep, DispatchGroup& group);
-  // c-FCFS / JBSQ dispatch of a prepared request. Returns false (leaving
-  // `request` untouched) when the group has no usable endpoint at all, in
-  // which case the caller falls back to the cold path (which recruits a
-  // core).
-  bool CentralDispatch(Endpoint& ep, DispatchGroup& group,
-                       PreparedRequest& request);
+  // Points the request at `target`, counting a retarget when it moves.
+  static void Retarget(PreparedRequest& request, const Endpoint& target,
+                       DispatchPolicyStats* counters);
+  // Pops the central head, retargets it to `target` (if any) and bumps
+  // `counter`, one of group.stats's fields.
+  static PreparedRequest TakeCentralHead(DispatchGroup& group,
+                                         const Endpoint* target,
+                                         uint64_t& counter);
   // JBSQ credit refill: move central-queue heads into ep's private queue
   // until the endpoint holds k resident requests.
   void ReplenishJbsq(Endpoint& ep);
   // A retired/deactivated core returns its private queue (its unspent JBSQ
   // credits) to the *front* of the central queue, preserving FCFS order.
   void ReturnLocalQueue(Endpoint& ep);
-  // When no group endpoint can serve the central queue (all retired or
-  // degraded), its contents drain through the kernel path instead of
+  // When no member of ep's group can serve the central queue (all retired
+  // or degraded), its contents drain through the kernel path instead of
   // stranding behind cores that will never poll again.
-  void MaybeDrainCentral(uint32_t service_id);
-  // Policy-aware backlog test used by the wedge detector: private queue or
-  // (for central disciplines) the service's central queue.
-  bool HasBacklog(Endpoint& ep);
+  void MaybeDrainCentral(Endpoint& ep);
   // After an endpoint loses its core, queued work must not strand: restart
   // via the cold path.
   void MaybeRestartCold(Endpoint& ep);

@@ -4,10 +4,13 @@
 // (everything completes, nothing executes twice), the JBSQ outstanding bound,
 // credit return when a core retires mid-load, central-queue visibility through
 // DispatchBacklog/ServiceBacklog, TryAgain not stranding central requests,
-// at-most-once across NIC crashes under central disciplines, and bit-identical
-// determinism across runs.
+// the central queue's and the JBSQ runway's admission gates, the VF dispatch
+// default, at-most-once across NIC crashes under central disciplines, and
+// bit-identical determinism across runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <tuple>
 #include <unordered_map>
@@ -365,6 +368,180 @@ TEST(DispatchCentralTest, TryAgainDoesNotStrandCentralRequests) {
     }
   }
   EXPECT_GT(hot, 0u);
+}
+
+// --- Central disciplines under admission control -----------------------------
+
+MachineConfig AdmissionDispatchConfig(size_t depth_limit, SojournConfig sojourn) {
+  MachineConfig config = DispatchConfig();
+  config.admission.enabled = true;
+  config.admission.queue_depth_limit = depth_limit;
+  config.admission.sojourn = sojourn;
+  return config;
+}
+
+// A sojourn target no run here reaches, so only the depth bound can shed.
+SojournConfig NoSojournShed() {
+  SojournConfig sojourn;
+  sojourn.target = Milliseconds(100);
+  return sojourn;
+}
+
+// Max over the run of `sample()`, read every simulated microsecond.
+std::shared_ptr<size_t> TrackMax(DispatchHarness& harness,
+                                 Function<size_t()> sample) {
+  auto max_seen = std::make_shared<size_t>(0);
+  auto probe = std::make_shared<Function<void()>>();
+  *probe = [&harness, max_seen, probe, sample = std::move(sample)]() {
+    *max_seen = std::max(*max_seen, sample());
+    harness.machine().sim().Schedule(Microseconds(1), [probe]() { (*probe)(); });
+  };
+  (*probe)();
+  return max_seen;
+}
+
+TEST(DispatchAdmissionTest, CentralQueueShedsAtDepthLimitTimesMembers) {
+  // The central queue holds one admission depth budget per member: with a
+  // limit of 4 and 3 member endpoints it fills to exactly 12, and arrivals
+  // past that are shed kQueueFull.
+  const size_t depth_limit = 4;
+  DispatchHarness harness(AdmissionDispatchConfig(depth_limit, NoSojournShed()),
+                          Policy(DispatchPolicyKind::kCFcfs),
+                          FixedSpec(Microseconds(50)));
+  const size_t members = harness.machine().EndpointsOf(harness.service()).size();
+  ASSERT_EQ(members, 3u);
+  const auto max_central = TrackMax(
+      harness, [&harness]() { return harness.nic().CentralQueueDepth(1); });
+  harness.Flood(100, Microseconds(1));
+
+  const LauberhornNic::Stats stats = harness.nic().stats();
+  EXPECT_EQ(*max_central, depth_limit * members);
+  EXPECT_GT(stats.requests_shed_queue, 0u);
+  EXPECT_EQ(stats.requests_shed_sojourn, 0u);
+  EXPECT_EQ(harness.ok() + stats.requests_shed_queue, harness.sent());
+  EXPECT_EQ(harness.DuplicateExecutions(), 0u);
+}
+
+TEST(DispatchAdmissionTest, CentralSojournGateWatchesTheCentralHead) {
+  // c-FCFS keeps every private queue empty by design, so only a gate over
+  // the central queue's head sees the standing backlog of a 2x overload:
+  // it must shed kSojourn while no private queue ever holds a request.
+  SojournConfig sojourn;
+  sojourn.target = Microseconds(10);
+  sojourn.interval = Microseconds(50);
+  DispatchHarness harness(AdmissionDispatchConfig(0, sojourn),
+                          Policy(DispatchPolicyKind::kCFcfs),
+                          FixedSpec(Microseconds(6)));
+  const auto endpoints = harness.machine().EndpointsOf(harness.service());
+  const auto max_private = TrackMax(harness, [&harness, endpoints]() {
+    size_t deepest = 0;
+    for (uint32_t ep : endpoints) {
+      deepest = std::max(deepest, harness.nic().QueueDepth(ep));
+    }
+    return deepest;
+  });
+  const auto max_central = TrackMax(
+      harness, [&harness]() { return harness.nic().CentralQueueDepth(1); });
+  harness.Flood(400, Microseconds(1));
+
+  const LauberhornNic::Stats stats = harness.nic().stats();
+  EXPECT_GT(stats.requests_shed_sojourn, 0u);
+  EXPECT_EQ(stats.requests_shed_queue, 0u);
+  EXPECT_EQ(*max_private, 0u);
+  EXPECT_GT(*max_central, 0u);
+  EXPECT_EQ(harness.ok() + stats.requests_shed_sojourn, harness.sent());
+  EXPECT_EQ(harness.DuplicateExecutions(), 0u);
+}
+
+TEST(DispatchAdmissionTest, JbsqRunwayObeysAdmissionDepthLimit) {
+  // JBSQ(4) lets a busy core hold three requests queued behind its
+  // in-flight one; an admission depth limit of 2 must cap that runway and
+  // shed the rest kQueueFull.
+  const size_t depth_limit = 2;
+  DispatchHarness harness(AdmissionDispatchConfig(depth_limit, NoSojournShed()),
+                          Policy(DispatchPolicyKind::kJbsq, /*k=*/4),
+                          FixedSpec(Microseconds(20)));
+  const auto endpoints = harness.machine().EndpointsOf(harness.service());
+  const auto max_pending = TrackMax(harness, [&harness, endpoints]() {
+    size_t deepest = 0;
+    for (uint32_t ep : endpoints) {
+      deepest = std::max(deepest, harness.nic().QueueDepth(ep));
+    }
+    return deepest;
+  });
+  harness.Flood(100, Microseconds(1));
+
+  const LauberhornNic::Stats stats = harness.nic().stats();
+  EXPECT_EQ(*max_pending, depth_limit);
+  EXPECT_GT(stats.requests_shed_queue, 0u);
+  EXPECT_EQ(harness.ok() + stats.requests_shed_queue, harness.sent());
+  EXPECT_EQ(harness.DuplicateExecutions(), 0u);
+}
+
+// --- Policy resolution ---------------------------------------------------------
+
+TEST(DispatchPolicyResolutionTest, VfDefaultAppliesToLegacyServicesOnTheVf) {
+  // A VF's dispatch default fills in for its services left at kLegacy; a
+  // service that names its own discipline keeps it; PF services have no
+  // tenant default and stay legacy.
+  Machine machine(DispatchConfig());
+  LauberhornNic::VfConfig vf;
+  vf.name = "jbsq-tenant";
+  vf.dispatch = Policy(DispatchPolicyKind::kJbsq, /*k=*/3);
+  const uint32_t vf_id = machine.CreateVf(vf);
+  const Duration handler = Microseconds(1);
+  ServiceDef own = ServiceRegistry::MakeEchoService(2, 7001, handler);
+  own.dispatch = Policy(DispatchPolicyKind::kDFcfs);
+  const std::vector<const ServiceDef*> services = {
+      &machine.AddService(ServiceRegistry::MakeEchoService(1, 7000, handler), 1,
+                          vf_id),
+      &machine.AddService(std::move(own), 1, vf_id),
+      &machine.AddService(ServiceRegistry::MakeEchoService(3, 7002, handler), 1,
+                          /*vf=*/0),
+  };
+  machine.Start();
+  for (const ServiceDef* service : services) {
+    machine.StartHotLoop(*service);
+  }
+  machine.sim().RunUntil(Microseconds(100));
+  const int per_service = 10;
+  int ok = 0;
+  for (int i = 0; i < per_service * 3; ++i) {
+    const ServiceDef* service = services[i % 3];
+    machine.sim().Schedule(Microseconds(i), [&machine, &ok, service]() {
+      std::vector<WireValue> args = {WireValue::Bytes({1, 2, 3})};
+      machine.client().Call(*service, 0, args,
+                            [&ok](const RpcMessage& response, Duration) {
+                              ok += response.status == RpcStatus::kOk;
+                            });
+    });
+  }
+  machine.sim().RunUntil(machine.sim().Now() + Milliseconds(2));
+  EXPECT_EQ(ok, per_service * 3);
+
+  LauberhornNic& nic = *machine.lauberhorn_nic();
+  EXPECT_EQ(nic.ServicePolicy(1).kind, DispatchPolicyKind::kJbsq);
+  EXPECT_EQ(nic.ServicePolicy(1).jbsq_k, 3u);
+  EXPECT_EQ(nic.ServicePolicy(2).kind, DispatchPolicyKind::kDFcfs);
+  EXPECT_EQ(nic.ServicePolicy(3).kind, DispatchPolicyKind::kLegacy);
+
+  // Each service's requests land in its own discipline's counters; legacy
+  // is listed but counts nothing.
+  const auto snapshot = nic.PolicyStatsSnapshot();
+  const std::map<DispatchPolicyKind, DispatchPolicyStats> by_kind(
+      snapshot.begin(), snapshot.end());
+  ASSERT_EQ(by_kind.size(), 3u);
+  const DispatchPolicyStats& jbsq = by_kind.at(DispatchPolicyKind::kJbsq);
+  const DispatchPolicyStats& dfcfs = by_kind.at(DispatchPolicyKind::kDFcfs);
+  const DispatchPolicyStats& legacy = by_kind.at(DispatchPolicyKind::kLegacy);
+  EXPECT_EQ(jbsq.hot_dispatches + jbsq.local_queued + jbsq.central_queued,
+            static_cast<uint64_t>(per_service));
+  EXPECT_EQ(dfcfs.hot_dispatches + dfcfs.local_queued,
+            static_cast<uint64_t>(per_service));
+  EXPECT_EQ(legacy.hot_dispatches + legacy.local_queued + legacy.central_queued,
+            0u);
+  EXPECT_GE(nic.stats().hot_dispatches + nic.stats().queued_dispatches,
+            static_cast<uint64_t>(per_service * 3));
 }
 
 TEST(DispatchChaosTest, AtMostOnceAcrossNicCrashesUnderCentralPolicies) {
