@@ -86,10 +86,9 @@ std::unique_ptr<LbPolicy> MakePolicy(const std::string& name) {
 }
 
 // Echo-with-sequence service: request/response carry one u64 (the caller's
-// app-level sequence number); every execution bumps `executions[seq]` so the
+// app-level sequence number); every execution is counted in `ledger` so the
 // failover cell can prove at-most-once cluster-wide.
-ServiceDef MakeSeqService(uint32_t id, uint16_t port,
-                          std::unordered_map<uint64_t, uint32_t>* executions) {
+ServiceDef MakeSeqService(uint32_t id, uint16_t port, ExecutionLedger& ledger) {
   ServiceDef def;
   def.service_id = id;
   def.name = "seq" + std::to_string(id);
@@ -98,12 +97,7 @@ ServiceDef MakeSeqService(uint32_t id, uint16_t port,
   echo.method_id = 0;
   echo.request_sig.args = {WireType::kU64};
   echo.response_sig.args = {WireType::kU64};
-  echo.handler = [executions](const std::vector<WireValue>& args) {
-    if (executions != nullptr) {
-      ++(*executions)[args[0].scalar];
-    }
-    return std::vector<WireValue>{WireValue::U64(args[0].scalar)};
-  };
+  echo.handler = ledger.Handler();
   echo.SetFixedServiceTime(Microseconds(1));
   def.methods[0] = std::move(echo);
   return def;
@@ -124,11 +118,10 @@ CellResult RunCell(const CellParams& p) {
   base.admission.enabled = true;
   base.admission.queue_depth_limit = 64;
 
-  // One executions map per machine: handlers run on the hosting machine's
-  // shard, so each map is only touched by one thread; merged after the run
-  // for the cluster-wide at-most-once check.
-  std::vector<std::unordered_map<uint64_t, uint32_t>> executions(
-      static_cast<size_t>(p.machines));
+  // One ledger per machine: handlers run on the hosting machine's shard, so
+  // each ledger is only touched by one thread; merged after the run for the
+  // cluster-wide at-most-once check.
+  std::vector<ExecutionLedger> ledgers(static_cast<size_t>(p.machines));
   std::vector<Machine*> machines;
   for (int m = 0; m < p.machines; ++m) {
     MachineConfig config = base;
@@ -149,7 +142,7 @@ CellResult RunCell(const CellParams& p) {
       const uint32_t service_id = static_cast<uint32_t>(s + 1);
       const uint16_t port = static_cast<uint16_t>(7000 + s);
       defs[m * p.services + s] = &machines[m]->AddService(
-          MakeSeqService(service_id, port, &executions[m]));
+          MakeSeqService(service_id, port, ledgers[m]));
     }
   }
   // Sharded runs publish NIC queue depths through per-machine DepthPublisher
@@ -299,18 +292,12 @@ CellResult RunCell(const CellParams& p) {
   result.marked_up = directory.stats().marked_up;
   // A retried request can execute on several machines; at-most-once means
   // the cluster-wide count per sequence number stays <= 1, so merge the
-  // per-machine maps before checking.
-  std::unordered_map<uint64_t, uint32_t> merged_executions;
-  for (const auto& per_machine : executions) {
-    for (const auto& [s, count] : per_machine) {
-      merged_executions[s] += count;
-    }
+  // per-machine ledgers before checking.
+  ExecutionLedger merged;
+  for (const ExecutionLedger& ledger : ledgers) {
+    merged.Merge(ledger);
   }
-  for (const auto& [s, count] : merged_executions) {
-    if (count > 1) {
-      ++result.duplicate_executions;
-    }
-  }
+  result.duplicate_executions = merged.Duplicates();
 
   for (int s = 0; s < testbed.shards(); ++s) {
     const ShardedEngine::ShardStats& stats = testbed.engine().stats(s);
@@ -477,36 +464,22 @@ int main(int argc, char** argv) {
               fr.fabric_metrics_present ? "yes" : "no");
 
   // --- Gates ----------------------------------------------------------------
-  int violations = 0;
-  auto violation = [&](const char* fmt, auto... vals) {
-    std::fprintf(stderr, "VIOLATION: ");
-    std::fprintf(stderr, fmt, vals...);
-    std::fprintf(stderr, "\n");
-    ++violations;
-  };
-  if (speedup_8x < 6.0) {
-    violation("8-machine speedup %.2f < 6.0", speedup_8x);
-  }
-  if (fr.failovers == 0) {
-    violation("failover cell never failed over (crash window ineffective)");
-  }
-  if (fr.exhausted != 0) {
-    violation("%" PRIu64 " calls exhausted the retry budget", fr.exhausted);
-  }
-  if (fr.duplicate_executions != 0) {
-    violation("%" PRIu64 " duplicate executions (at-most-once broken)",
+  Gates gates;
+  gates.Check(speedup_8x >= 6.0, "8-machine speedup %.2f < 6.0", speedup_8x);
+  gates.Check(fr.failovers != 0,
+              "failover cell never failed over (crash window ineffective)");
+  gates.Check(fr.exhausted == 0, "%" PRIu64 " calls exhausted the retry budget",
+              fr.exhausted);
+  gates.Check(fr.duplicate_executions == 0,
+              "%" PRIu64 " duplicate executions (at-most-once broken)",
               fr.duplicate_executions);
-  }
-  if (fr.max_rtt > retry_budget) {
-    violation("max failover rtt %.1fus exceeds retry budget %.1fus",
+  gates.Check(fr.max_rtt <= retry_budget,
+              "max failover rtt %.1fus exceeds retry budget %.1fus",
               ToMicroseconds(fr.max_rtt), ToMicroseconds(retry_budget));
-  }
-  if (!fr.fabric_metrics_present) {
-    violation("fabric/port queue-drop counters missing from ExportMetrics");
-  }
-  if (!sim_metrics_present) {
-    violation("sim/<shard> counters missing from ExportMetrics");
-  }
+  gates.Check(fr.fabric_metrics_present,
+              "fabric/port queue-drop counters missing from ExportMetrics");
+  gates.Check(sim_metrics_present,
+              "sim/<shard> counters missing from ExportMetrics");
 
   if (!args.json.empty()) {
     JsonObject out;
@@ -524,16 +497,11 @@ int main(int argc, char** argv) {
         .Field("duplicate_executions", fr.duplicate_executions)
         .Field("max_failover_rtt_us", ToMicroseconds(fr.max_rtt))
         .Field("fabric_queue_drops", fr.fabric_queue_drops)
-        .Field("violations", violations);
+        .Field("violations", gates.count());
     if (!WriteJsonFile(args.json, out.Render())) {
       return 1;
     }
   }
 
-  if (violations > 0) {
-    std::fprintf(stderr, "%d violation(s)\n", violations);
-    return 1;
-  }
-  std::printf("\nall gates passed\n");
-  return 0;
+  return gates.Exit();
 }

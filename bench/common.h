@@ -4,10 +4,14 @@
 #define BENCH_COMMON_H_
 
 #include <atomic>
+#include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/machine.h"
@@ -201,6 +205,87 @@ inline bool WriteJsonFile(const std::string& path, const std::string& json) {
   std::fclose(f);
   return true;
 }
+
+// A bench's acceptance gates. Every failed check prints one
+// "VIOLATION: ..." line on stderr and is counted; Exit() turns any failure
+// into exit status 1.
+class Gates {
+ public:
+  // Records a violation unless `holds`; `fmt` is a printf format.
+  __attribute__((format(printf, 3, 4))) void Check(bool holds, const char* fmt,
+                                                   ...) {
+    if (holds) {
+      return;
+    }
+    std::va_list args;
+    va_start(args, fmt);
+    std::fprintf(stderr, "VIOLATION: ");
+    std::vfprintf(stderr, fmt, args);
+    std::fprintf(stderr, "\n");
+    va_end(args);
+    ++count_;
+  }
+  int count() const { return count_; }
+  // The bench's exit status: 0 when every check held, else 1.
+  int Exit() const {
+    if (count_ > 0) {
+      std::fprintf(stderr, "%d violation(s)\n", count_);
+      return 1;
+    }
+    std::printf("\nall gates passed\n");
+    return 0;
+  }
+
+ private:
+  int count_ = 0;
+};
+
+// Handler executions per sequence number, the end-to-end witness of
+// at-most-once execution. Each request carries a unique sequence number in
+// argument 0 (handlers never see request ids).
+class ExecutionLedger {
+ public:
+  // Handlers hold the ledger's address, so it never moves.
+  ExecutionLedger() = default;
+  ExecutionLedger(const ExecutionLedger&) = delete;
+  ExecutionLedger& operator=(const ExecutionLedger&) = delete;
+
+  // A handler that counts one execution of args[0] and echoes its
+  // arguments back.
+  std::function<std::vector<WireValue>(const std::vector<WireValue>&)>
+  Handler() {
+    return [this](const std::vector<WireValue>& args) {
+      ++executions_[args.at(0).scalar];
+      return args;
+    };
+  }
+  // Adds another ledger's counts: a retried request may execute on several
+  // machines, so cluster-wide duplicates are judged on the merged ledger.
+  void Merge(const ExecutionLedger& other) {
+    for (const auto& [seq, count] : other.executions_) {
+      executions_[seq] += count;
+    }
+  }
+  // Sequence numbers executed more than once.
+  uint64_t Duplicates() const {
+    uint64_t duplicates = 0;
+    for (const auto& [seq, count] : executions_) {
+      duplicates += count > 1;
+    }
+    return duplicates;
+  }
+  // Executions of all sequence numbers.
+  uint64_t Total() const {
+    uint64_t total = 0;
+    for (const auto& [seq, count] : executions_) {
+      total += count;
+    }
+    return total;
+  }
+
+ private:
+  std::unordered_map<uint64_t, uint32_t> executions_;
+};
 
 // Builds a machine with one echo service and runs a closed-loop warm-up so
 // steady-state measurements exclude cold-start effects.

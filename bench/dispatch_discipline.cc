@@ -35,7 +35,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/common.h"
@@ -81,7 +80,7 @@ DispatchPolicyConfig MakePolicy(DispatchPolicyKind kind) {
 
 ServiceDef MakeCountingService(const ServiceTimeSpec& spec,
                                DispatchPolicyConfig policy,
-                               std::unordered_map<uint64_t, uint32_t>* execs) {
+                               ExecutionLedger& ledger) {
   ServiceDef def;
   def.service_id = 1;
   def.name = "disp";
@@ -92,12 +91,7 @@ ServiceDef MakeCountingService(const ServiceTimeSpec& spec,
   method.name = "count";
   method.request_sig.args = {WireType::kU64};
   method.response_sig.args = {WireType::kU64};
-  method.handler = [execs](const std::vector<WireValue>& args) {
-    if (execs != nullptr) {
-      ++(*execs)[args.at(0).scalar];
-    }
-    return std::vector<WireValue>{args.at(0)};
-  };
+  method.handler = ledger.Handler();
   method.service_time = MakeServiceTimeFn(spec);
   def.methods[0] = std::move(method);
   return def;
@@ -112,9 +106,10 @@ double Calibrate(ServiceTimeDist dist, uint64_t seed) {
   config.num_cores = 8;
   config.seed = seed;
   Machine machine(std::move(config));
+  ExecutionLedger ledger;
   const ServiceDef& svc = machine.AddService(
       MakeCountingService(MakeSpec(dist), MakePolicy(DispatchPolicyKind::kCFcfs),
-                          nullptr),
+                          ledger),
       kServiceCores);
   machine.Start();
   machine.StartHotLoop(svc);
@@ -193,9 +188,9 @@ CellResult RunCell(const CellParams& p) {
   Machine& server = testbed.AddMachine(server_config);
   Machine& client = testbed.AddMachine(client_config);
 
-  std::unordered_map<uint64_t, uint32_t> execs;
+  ExecutionLedger ledger;
   const ServiceDef& svc = server.AddService(
-      MakeCountingService(MakeSpec(p.dist), MakePolicy(p.policy), &execs),
+      MakeCountingService(MakeSpec(p.dist), MakePolicy(p.policy), ledger),
       kServiceCores);
   server.Start();
   client.Start();
@@ -261,8 +256,7 @@ CellResult RunCell(const CellParams& p) {
   result.p999 = d->rtt.P999();
   result.timeouts = client.client().timeouts();
   const auto& stats = server.lauberhorn_nic()->stats();
-  result.sheds = stats.requests_shed_queue + stats.requests_shed_quota +
-                 stats.requests_shed_sojourn + stats.requests_shed_vf_quota;
+  result.sheds = stats.sheds.total();
   result.nic_resets = stats.nic_resets;
   for (const auto& [kind, ps] : server.lauberhorn_nic()->PolicyStatsSnapshot()) {
     if (kind == p.policy) {
@@ -271,10 +265,8 @@ CellResult RunCell(const CellParams& p) {
       result.hot = ps.hot_dispatches;
     }
   }
-  for (const auto& [seq, count] : execs) {
-    result.total_execs += count;
-    result.dup_execs += count > 1;
-  }
+  result.total_execs = ledger.Total();
+  result.dup_execs = ledger.Duplicates();
   return result;
 }
 
@@ -311,13 +303,7 @@ int main(int argc, char** argv) {
     capacity[i] = Calibrate(dists[i], args.seed);
   }
 
-  int violations = 0;
-  auto violation = [&](const char* fmt, auto... vals) {
-    std::fprintf(stderr, "VIOLATION: ");
-    std::fprintf(stderr, fmt, vals...);
-    std::fprintf(stderr, "\n");
-    ++violations;
-  };
+  Gates gates;
 
   Table table({"dist", "policy", "load", "cap_krps", "sent", "ok", "p50_us",
                "p99_us", "p999_us", "hot", "queued", "sheds", "dups"});
@@ -371,16 +357,13 @@ int main(int argc, char** argv) {
                 .Field("sheds", r.sheds)
                 .Field("duplicate_executions", r.dup_execs)
                 .Render());
-        if (r.dup_execs != 0) {
-          violation("%s/%s at %.1f load executed %" PRIu64
+        gates.Check(r.dup_execs == 0,
+                    "%s/%s at %.1f load executed %" PRIu64
                     " sequences more than once",
                     ToString(dists[di]), ToString(policies[pi]), load,
                     r.dup_execs);
-        }
-        if (r.ok == 0) {
-          violation("%s/%s at %.1f load served nothing", ToString(dists[di]),
-                    ToString(policies[pi]), load);
-        }
+        gates.Check(r.ok != 0, "%s/%s at %.1f load served nothing",
+                    ToString(dists[di]), ToString(policies[pi]), load);
       }
     }
   }
@@ -395,21 +378,18 @@ int main(int argc, char** argv) {
               "| JBSQ(2) p99 %.1f us\n",
               gate_load, ToMicroseconds(dfcfs.p99), ToMicroseconds(cfcfs.p99),
               ToMicroseconds(jbsq.p99));
-  if (static_cast<double>(dfcfs.p99) < 2.0 * static_cast<double>(jbsq.p99)) {
-    violation("d-FCFS p99 (%.1f us) is not >= 2x JBSQ p99 (%.1f us) under "
+  gates.Check(static_cast<double>(dfcfs.p99) >= 2.0 * static_cast<double>(jbsq.p99),
+              "d-FCFS p99 (%.1f us) is not >= 2x JBSQ p99 (%.1f us) under "
               "bimodal at %.1f load",
               ToMicroseconds(dfcfs.p99), ToMicroseconds(jbsq.p99), gate_load);
-  }
-  if (static_cast<double>(jbsq.p99) > 1.3 * static_cast<double>(cfcfs.p99)) {
-    violation("JBSQ p99 (%.1f us) exceeds 1.3x c-FCFS p99 (%.1f us) under "
+  gates.Check(static_cast<double>(jbsq.p99) <= 1.3 * static_cast<double>(cfcfs.p99),
+              "JBSQ p99 (%.1f us) exceeds 1.3x c-FCFS p99 (%.1f us) under "
               "bimodal at %.1f load",
               ToMicroseconds(jbsq.p99), ToMicroseconds(cfcfs.p99), gate_load);
-  }
-  if (static_cast<double>(jbsq.p99) > 0.5 * static_cast<double>(dfcfs.p99)) {
-    violation("JBSQ p99 (%.1f us) exceeds 0.5x d-FCFS p99 (%.1f us) under "
+  gates.Check(static_cast<double>(jbsq.p99) <= 0.5 * static_cast<double>(dfcfs.p99),
+              "JBSQ p99 (%.1f us) exceeds 0.5x d-FCFS p99 (%.1f us) under "
               "bimodal at %.1f load",
               ToMicroseconds(jbsq.p99), ToMicroseconds(dfcfs.p99), gate_load);
-  }
 
   // --- Chaos pair: crash-wiped central queues stay at-most-once --------------
   std::vector<std::string> chaos_json;
@@ -436,17 +416,13 @@ int main(int argc, char** argv) {
                              .Field("nic_resets", r.nic_resets)
                              .Field("duplicate_executions", r.dup_execs)
                              .Render());
-    if (r.dup_execs != 0) {
-      violation("chaos %s executed %" PRIu64 " sequences more than once",
+    gates.Check(r.dup_execs == 0,
+                "chaos %s executed %" PRIu64 " sequences more than once",
                 ToString(kind), r.dup_execs);
-    }
-    if (r.nic_resets == 0) {
-      violation("chaos %s never crashed the NIC (plan ineffective)",
+    gates.Check(r.nic_resets != 0,
+                "chaos %s never crashed the NIC (plan ineffective)",
                 ToString(kind));
-    }
-    if (r.ok == 0) {
-      violation("chaos %s served nothing", ToString(kind));
-    }
+    gates.Check(r.ok != 0, "chaos %s served nothing", ToString(kind));
   }
 
   // --- PDES reproducibility: same cell, different shard count ----------------
@@ -459,14 +435,13 @@ int main(int argc, char** argv) {
               "\n",
               gate_load, gate_params.shards, gate_again.ok,
               gate_again.total_execs, p_re.shards, re.ok, re.total_execs);
-  if (re.ok != gate_again.ok || re.sent != gate_again.sent ||
-      re.total_execs != gate_again.total_execs ||
-      re.timeouts != gate_again.timeouts) {
-    violation("shards=%d and shards=%d disagree (ok %" PRIu64 " vs %" PRIu64
+  gates.Check(re.ok == gate_again.ok && re.sent == gate_again.sent &&
+                  re.total_execs == gate_again.total_execs &&
+                  re.timeouts == gate_again.timeouts,
+              "shards=%d and shards=%d disagree (ok %" PRIu64 " vs %" PRIu64
               ", execs %" PRIu64 " vs %" PRIu64 ")",
               gate_params.shards, p_re.shards, gate_again.ok, re.ok,
               gate_again.total_execs, re.total_execs);
-  }
 
   if (!args.json.empty()) {
     JsonObject config;
@@ -483,16 +458,11 @@ int main(int argc, char** argv) {
         .Raw("config", config.Render())
         .Raw("results", JsonArray(rows_json))
         .Raw("chaos", JsonArray(chaos_json))
-        .Field("violations", violations);
+        .Field("violations", gates.count());
     if (!WriteJsonFile(args.json, out.Render())) {
       return 1;
     }
   }
 
-  if (violations > 0) {
-    std::fprintf(stderr, "%d violation(s)\n", violations);
-    return 1;
-  }
-  std::printf("\nall gates passed\n");
-  return 0;
+  return gates.Exit();
 }

@@ -15,7 +15,6 @@
 // --smoke is the CI gate: one nonzero intensity, all three stacks, asserting
 // zero duplicate executions, a bounded retransmit rate, and nonzero goodput.
 #include <cmath>
-#include <unordered_map>
 
 #include "bench/common.h"
 
@@ -39,10 +38,8 @@ struct Cell {
 };
 
 // One service whose handler tallies executions per sequence number (arg 0),
-// echoing both args back. Handlers never see request ids, so the sequence
-// number travels as a marshalled argument.
-ServiceDef MakeCountingService(std::unordered_map<uint64_t, uint32_t>& execs,
-                               Duration service_time) {
+// echoing both args back.
+ServiceDef MakeCountingService(ExecutionLedger& ledger, Duration service_time) {
   ServiceDef def;
   def.service_id = 1;
   def.name = "counted-echo";
@@ -52,10 +49,7 @@ ServiceDef MakeCountingService(std::unordered_map<uint64_t, uint32_t>& execs,
   method.name = "counted";
   method.request_sig.args = {WireType::kU64, WireType::kBytes};
   method.response_sig.args = {WireType::kU64, WireType::kBytes};
-  method.handler = [&execs](const std::vector<WireValue>& args) {
-    ++execs[args.at(0).scalar];
-    return std::vector<WireValue>{args.at(0), args.at(1)};
-  };
+  method.handler = ledger.Handler();
   method.SetFixedServiceTime(service_time);
   def.methods[0] = std::move(method);
   return def;
@@ -90,10 +84,10 @@ Cell Measure(StackKind stack, double intensity, uint64_t seed, bool smoke) {
   params.degrade_backoff = Microseconds(300);
   config.lauberhorn_params = params;
 
-  std::unordered_map<uint64_t, uint32_t> execs;
+  ExecutionLedger ledger;
   Machine machine(std::move(config));
   const ServiceDef& svc = machine.AddService(
-      MakeCountingService(execs, Microseconds(1)),
+      MakeCountingService(ledger, Microseconds(1)),
       /*max_cores=*/stack == StackKind::kLauberhorn ? 4 : 1);
   machine.Start();
   if (stack == StackKind::kLauberhorn) {
@@ -137,32 +131,15 @@ Cell Measure(StackKind stack, double intensity, uint64_t seed, bool smoke) {
   cell.retransmits = machine.client().retransmits();
   cell.suppressed = machine.client().retransmits_suppressed();
   cell.late = machine.client().late_responses();
-  for (const auto& [s, count] : execs) {
-    if (count > 1) {
-      ++cell.dup_execs;
-    }
-  }
+  cell.dup_execs = ledger.Duplicates();
   cell.p50 = rtt.P50();
   cell.p99 = rtt.P99();
-  switch (stack) {
-    case StackKind::kLinux:
-      cell.replays = machine.linux_stack()->dup_replays();
-      cell.dup_drops = machine.linux_stack()->dup_drops_in_flight();
-      cell.service_down_drops = machine.dma_nic()->rx_drops_service_down();
-      break;
-    case StackKind::kBypass:
-      cell.replays = machine.bypass()->dup_replays();
-      cell.dup_drops = machine.bypass()->dup_drops_in_flight();
-      cell.service_down_drops = machine.dma_nic()->rx_drops_service_down();
-      break;
-    case StackKind::kLauberhorn: {
-      const auto& stats = machine.lauberhorn_nic()->stats();
-      cell.replays = stats.dup_replays;
-      cell.dup_drops = stats.dup_drops_in_flight;
-      cell.degradations = stats.degradations;
-      cell.service_down_drops = stats.drops_service_down;
-      break;
-    }
+  const Machine::ServerStats server = machine.server_stats();
+  cell.replays = server.dedup.duplicates_replayed;
+  cell.dup_drops = server.dedup.duplicates_in_flight;
+  cell.service_down_drops = server.service_down_drops;
+  if (const LauberhornNic* nic = machine.lauberhorn_nic()) {
+    cell.degradations = nic->stats().degradations;
   }
   return cell;
 }
@@ -201,7 +178,7 @@ int main(int argc, char** argv) {
   Table table({"intensity", "stack", "sent", "goodput", "p50 (us)", "p99 (us)",
                "retx", "suppr", "timeouts", "late", "replays", "dup-drops",
                "degrade", "svc-down", "dup-execs"});
-  bool violation = false;
+  Gates gates;
   std::vector<std::string> json_rows;
   for (size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
@@ -239,27 +216,18 @@ int main(int argc, char** argv) {
     // Acceptance gates. At-most-once must hold everywhere; under faults the
     // retransmit volume must stay bounded (the budget caps storms) and some
     // goodput must survive.
-    if (cell.dup_execs != 0) {
-      std::fprintf(stderr, "VIOLATION: %s at intensity %.2f executed %llu "
-                   "sequences more than once\n",
-                   ToString(job.stack).c_str(), job.intensity,
-                   static_cast<unsigned long long>(cell.dup_execs));
-      violation = true;
-    }
-    if (cell.ok == 0) {
-      std::fprintf(stderr, "VIOLATION: %s at intensity %.2f completed nothing\n",
-                   ToString(job.stack).c_str(), job.intensity);
-      violation = true;
-    }
-    if (cell.sent > 0 &&
-        static_cast<double>(cell.retransmits) > 2.0 * static_cast<double>(cell.sent)) {
-      std::fprintf(stderr, "VIOLATION: %s at intensity %.2f retransmit rate "
-                   "unbounded (%llu retx for %llu sent)\n",
-                   ToString(job.stack).c_str(), job.intensity,
-                   static_cast<unsigned long long>(cell.retransmits),
-                   static_cast<unsigned long long>(cell.sent));
-      violation = true;
-    }
+    const std::string stack = ToString(job.stack);
+    gates.Check(cell.dup_execs == 0,
+                "%s at intensity %.2f executed %" PRIu64
+                " sequences more than once",
+                stack.c_str(), job.intensity, cell.dup_execs);
+    gates.Check(cell.ok != 0, "%s at intensity %.2f completed nothing",
+                stack.c_str(), job.intensity);
+    gates.Check(cell.sent == 0 || static_cast<double>(cell.retransmits) <=
+                                      2.0 * static_cast<double>(cell.sent),
+                "%s at intensity %.2f retransmit rate unbounded (%" PRIu64
+                " retx for %" PRIu64 " sent)",
+                stack.c_str(), job.intensity, cell.retransmits, cell.sent);
   }
   PrintTable(table, args.csv);
 
@@ -278,5 +246,5 @@ int main(int argc, char** argv) {
               "(the reliability layer carries RPCs over loss, crashes, and wedges);\n"
               "duplicate executions stay zero, and Lauberhorn's degradations column\n"
               "shows wedged endpoints being demoted to the cold path.\n");
-  return violation ? 1 : 0;
+  return gates.Exit();
 }

@@ -307,6 +307,11 @@ int main(int argc, char** argv) {
       gate_cc = &cc_results[i];
     }
   }
+  Gates gates;
+  gates.Check(gate_cc != nullptr, "gate cell missing");
+  if (gate_cc == nullptr) {
+    return gates.Exit();
+  }
   std::printf("\nshard recheck (cc, %d senders): shards=%d ok=%" PRIu64
               " timeouts=%" PRIu64 " drops=%" PRIu64 " | shards=%d ok=%" PRIu64
               " timeouts=%" PRIu64 " drops=%" PRIu64 "\n",
@@ -315,13 +320,6 @@ int main(int argc, char** argv) {
               re.fabric_drops);
 
   // --- Gates ----------------------------------------------------------------
-  int violations = 0;
-  auto violation = [&](const char* fmt, auto... vals) {
-    std::fprintf(stderr, "VIOLATION: ");
-    std::fprintf(stderr, fmt, vals...);
-    std::fprintf(stderr, "\n");
-    ++violations;
-  };
   for (size_t i = 0; i < cc_results.size(); ++i) {
     const CellResult& off = off_results[i];
     const CellResult& cc = cc_results[i];
@@ -332,43 +330,32 @@ int main(int argc, char** argv) {
     if (!gated) {
       continue;
     }
-    if (cc.timeouts != 0) {
-      violation("cc %d->1: %" PRIu64 " timeouts (want 0)", cc.senders,
-                cc.timeouts);
-    }
-    if (cc.retransmits != 0) {
-      violation("cc %d->1: %" PRIu64 " timeout-driven retransmits (want 0)",
+    gates.Check(cc.timeouts == 0, "cc %d->1: %" PRIu64 " timeouts (want 0)",
+                cc.senders, cc.timeouts);
+    gates.Check(cc.retransmits == 0,
+                "cc %d->1: %" PRIu64 " timeout-driven retransmits (want 0)",
                 cc.senders, cc.retransmits);
-    }
-    if (cc.fabric_drops != 0) {
-      violation("cc %d->1: %" PRIu64 " fabric tail drops (want 0)", cc.senders,
+    gates.Check(cc.fabric_drops == 0,
+                "cc %d->1: %" PRIu64 " fabric tail drops (want 0)", cc.senders,
                 cc.fabric_drops);
-    }
-    if (off.fabric_drops == 0) {
-      violation("baseline %d->1 shed nothing in-fabric: not an incast",
+    gates.Check(off.fabric_drops != 0,
+                "baseline %d->1 shed nothing in-fabric: not an incast",
                 off.senders);
-    }
-    if (cc.goodput_rps < 2.0 * off.goodput_rps) {
-      violation("cc %d->1 goodput %.0f < 2x baseline %.0f", cc.senders,
+    gates.Check(cc.goodput_rps >= 2.0 * off.goodput_rps,
+                "cc %d->1 goodput %.0f < 2x baseline %.0f", cc.senders,
                 cc.goodput_rps, off.goodput_rps);
-    }
-    if (cc.fabric_marks == 0) {
-      violation("cc %d->1: fabric never CE-marked (threshold ineffective)",
+    gates.Check(cc.fabric_marks != 0,
+                "cc %d->1: fabric never CE-marked (threshold ineffective)",
                 cc.senders);
-    }
-    if (cc.grants == 0) {
-      violation("cc %d->1: receiver issued no grants", cc.senders);
-    }
+    gates.Check(cc.grants != 0, "cc %d->1: receiver issued no grants",
+                cc.senders);
   }
-  if (gate_cc == nullptr) {
-    violation("gate cell missing");
-  } else if (re.ok != gate_cc->ok || re.timeouts != gate_cc->timeouts ||
-             re.fabric_drops != gate_cc->fabric_drops) {
-    violation("shards=%d and shards=%d disagree (ok %" PRIu64 " vs %" PRIu64
+  gates.Check(re.ok == gate_cc->ok && re.timeouts == gate_cc->timeouts &&
+                  re.fabric_drops == gate_cc->fabric_drops,
+              "shards=%d and shards=%d disagree (ok %" PRIu64 " vs %" PRIu64
               ", timeouts %" PRIu64 " vs %" PRIu64 ")",
-              gate_cc->shards, re.shards, gate_cc->ok, re.ok,
-              gate_cc->timeouts, re.timeouts);
-  }
+              gate_cc->shards, re.shards, gate_cc->ok, re.ok, gate_cc->timeouts,
+              re.timeouts);
 
   if (!args.json.empty()) {
     JsonObject config;
@@ -382,16 +369,11 @@ int main(int argc, char** argv) {
         .Field("schema_version", 1)
         .Raw("config", config.Render())
         .Raw("results", JsonArray(cells_json))
-        .Field("violations", violations);
+        .Field("violations", gates.count());
     if (!WriteJsonFile(args.json, out.Render())) {
       return 1;
     }
   }
 
-  if (violations > 0) {
-    std::fprintf(stderr, "%d violation(s)\n", violations);
-    return 1;
-  }
-  std::printf("\nall gates passed\n");
-  return 0;
+  return gates.Exit();
 }

@@ -25,7 +25,6 @@
 //     recovery replays all three VF partitions.
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 
 #include "bench/common.h"
 #include "src/net/headers.h"
@@ -83,8 +82,7 @@ MachineConfig TenantMachine(uint64_t seed, bool chaos) {
   return config;
 }
 
-ServiceDef TenantService(int tenant,
-                         std::unordered_map<uint64_t, uint32_t>& execs) {
+ServiceDef TenantService(int tenant, ExecutionLedger& ledger) {
   ServiceDef def;
   def.service_id = static_cast<uint32_t>(tenant + 1);
   def.name = "tenant-" + std::string(1, static_cast<char>('a' + tenant));
@@ -94,10 +92,7 @@ ServiceDef TenantService(int tenant,
   method.name = "work";
   method.request_sig.args = {WireType::kU64, WireType::kBytes};
   method.response_sig.args = {WireType::kU64, WireType::kBytes};
-  method.handler = [&execs](const std::vector<WireValue>& args) {
-    ++execs[args.at(0).scalar];
-    return std::vector<WireValue>{args.at(0), args.at(1)};
-  };
+  method.handler = ledger.Handler();
   method.SetFixedServiceTime(Microseconds(1));
   def.methods[0] = std::move(method);
   return def;
@@ -108,7 +103,7 @@ ServiceDef TenantService(int tenant,
 CellResult RunCell(uint64_t seed, const double (&rates)[kTenants],
                    Duration window, bool chaos) {
   Machine machine(TenantMachine(seed, chaos));
-  std::unordered_map<uint64_t, uint32_t> execs[kTenants];
+  ExecutionLedger ledgers[kTenants];
   const ServiceDef* services[kTenants];
   uint32_t vfs[kTenants];
   for (int t = 0; t < kTenants; ++t) {
@@ -119,7 +114,7 @@ CellResult RunCell(uint64_t seed, const double (&rates)[kTenants],
     vf.admission.quota_burst = 64;
     vf.endpoint_limit = 2;
     vfs[t] = machine.CreateVf(vf);
-    services[t] = &machine.AddService(TenantService(t, execs[t]),
+    services[t] = &machine.AddService(TenantService(t, ledgers[t]),
                                       /*max_cores=*/2, vfs[t]);
   }
   machine.Start();
@@ -171,21 +166,17 @@ CellResult RunCell(uint64_t seed, const double (&rates)[kTenants],
   const LauberhornNic& nic = *machine.lauberhorn_nic();
   for (int t = 0; t < kTenants; ++t) {
     TenantObs& obs = cell.tenants[t];
-    for (const auto& [s, count] : execs[t]) {
-      obs.total_execs += count;
-      if (count > 1) {
-        ++obs.dup_execs;
-      }
-    }
+    obs.total_execs = ledgers[t].Total();
+    obs.dup_execs = ledgers[t].Duplicates();
     const LauberhornNic::VfStats& vstats = nic.vf_stats(vfs[t]);
-    obs.sheds_vf_quota = vstats.sheds_vf_quota;
+    obs.sheds_vf_quota = vstats.sheds.vf_quota;
     obs.rss_steered = vstats.rss_steered;
     obs.rss_fallbacks = vstats.rss_fallbacks;
     obs.p99_us = ToMicroseconds(rtts[t].P99());
   }
   cell.host_dispatches = machine.lauberhorn_runtime()->rpcs_hot() +
                          machine.lauberhorn_runtime()->rpcs_cold();
-  cell.nic_sheds_vf_quota = nic.stats().requests_shed_vf_quota;
+  cell.nic_sheds_vf_quota = nic.stats().sheds.vf_quota;
   if (machine.nic_recovery() != nullptr) {
     cell.recoveries = machine.nic_recovery()->stats().recoveries;
     cell.replayed_vfs = machine.nic_recovery()->stats().replayed_vfs;
@@ -231,10 +222,7 @@ Packet RawRequest(uint16_t src_port, uint16_t dst_port, uint64_t request_id,
 
 DedupCell RunDedupCell(uint64_t seed) {
   Machine machine(TenantMachine(seed, /*chaos=*/false));
-  std::unordered_map<uint64_t, uint32_t> execs_a, execs_b;
-  struct {
-    std::unordered_map<uint64_t, uint32_t>* execs;
-  } tenants[2] = {{&execs_a}, {&execs_b}};
+  ExecutionLedger ledgers[2];
   const ServiceDef* services[2];
   for (int t = 0; t < 2; ++t) {
     LauberhornNic::VfConfig vf;
@@ -249,11 +237,7 @@ DedupCell RunDedupCell(uint64_t seed) {
           method.method_id = 0;
           method.request_sig.args = {WireType::kU64};
           method.response_sig.args = {WireType::kU64};
-          auto* execs = tenants[t].execs;
-          method.handler = [execs](const std::vector<WireValue>& args) {
-            ++(*execs)[args.at(0).scalar];
-            return std::vector<WireValue>{args.at(0)};
-          };
+          method.handler = ledgers[t].Handler();
           method.SetFixedServiceTime(Nanoseconds(500));
           def.methods[0] = std::move(method);
           return def;
@@ -284,12 +268,8 @@ DedupCell RunDedupCell(uint64_t seed) {
   cell.intra_tenant_suppressions = nic.stats().dup_drops_in_flight +
                                    nic.stats().dup_replays -
                                    cell.cross_tenant_suppressions;
-  for (const auto& [s, count] : execs_a) {
-    cell.execs_a += count;
-  }
-  for (const auto& [s, count] : execs_b) {
-    cell.execs_b += count;
-  }
+  cell.execs_a = ledgers[0].Total();
+  cell.execs_b = ledgers[1].Total();
   return cell;
 }
 
@@ -303,7 +283,7 @@ int main(int argc, char** argv) {
               "multi-tenant NIC: PF/VF partitioning + per-VF quota isolation");
 
   const Duration window = args.smoke ? Milliseconds(10) : Milliseconds(50);
-  bool violation = false;
+  Gates gates;
   std::vector<std::string> json_rows;
 
   // -- solo baselines (one machine per tenant, others idle) --
@@ -354,21 +334,14 @@ int main(int argc, char** argv) {
   PrintTable(isolation, args.csv);
 
   // Gate: the aggressor was shed on-NIC...
-  if (surge.tenants[1].sheds_vf_quota == 0) {
-    std::fprintf(stderr, "VIOLATION: surge tenant was never shed by its VF quota\n");
-    violation = true;
-  }
+  gates.Check(surge.tenants[1].sheds_vf_quota != 0,
+              "surge tenant was never shed by its VF quota");
   // ...before any handler ran (shed requests execute nothing)...
   for (int t = 0; t < kTenants; ++t) {
-    if (surge.tenants[t].total_execs != surge.tenants[t].ok) {
-      std::fprintf(stderr,
-                   "VIOLATION: tenant %c executed %llu but completed %llu "
-                   "(sheds must never execute)\n",
-                   'a' + t,
-                   static_cast<unsigned long long>(surge.tenants[t].total_execs),
-                   static_cast<unsigned long long>(surge.tenants[t].ok));
-      violation = true;
-    }
+    gates.Check(surge.tenants[t].total_execs == surge.tenants[t].ok,
+                "tenant %c executed %" PRIu64 " but completed %" PRIu64
+                " (sheds must never execute)",
+                'a' + t, surge.tenants[t].total_execs, surge.tenants[t].ok);
   }
   // ...and at zero host dispatch cost: every host dispatch corresponds to an
   // executed request; the ~180k shed requests added none.
@@ -377,36 +350,26 @@ int main(int argc, char** argv) {
     for (int t = 0; t < kTenants; ++t) {
       execs += surge.tenants[t].total_execs;
     }
-    if (surge.host_dispatches != execs) {
-      std::fprintf(stderr,
-                   "VIOLATION: %llu host dispatches for %llu executions "
-                   "(on-NIC sheds must not burn host cores)\n",
-                   static_cast<unsigned long long>(surge.host_dispatches),
-                   static_cast<unsigned long long>(execs));
-      violation = true;
-    }
+    gates.Check(surge.host_dispatches == execs,
+                "%" PRIu64 " host dispatches for %" PRIu64
+                " executions (on-NIC sheds must not burn host cores)",
+                surge.host_dispatches, execs);
   }
   // Gate: victims' p99 within 15% of their solo baselines.
   for (int t = 0; t < kTenants; t += 2) {
     const double solo_p99 = solo[t].tenants[t].p99_us;
     const double surge_p99 = surge.tenants[t].p99_us;
-    if (surge_p99 > 1.15 * solo_p99) {
-      std::fprintf(stderr,
-                   "VIOLATION: tenant %c p99 %.2f us under surge vs %.2f us "
-                   "solo (> 15%% degradation)\n",
-                   'a' + t, surge_p99, solo_p99);
-      violation = true;
-    }
+    gates.Check(surge_p99 <= 1.15 * solo_p99,
+                "tenant %c p99 %.2f us under surge vs %.2f us solo (> 15%% "
+                "degradation)",
+                'a' + t, surge_p99, solo_p99);
   }
   // Sanity: the victims' goodput survived intact.
   for (int t = 0; t < kTenants; t += 2) {
-    if (surge.tenants[t].ok != surge.tenants[t].sent) {
-      std::fprintf(stderr, "VIOLATION: victim %c lost goodput under surge (%llu/%llu ok)\n",
-                   'a' + t,
-                   static_cast<unsigned long long>(surge.tenants[t].ok),
-                   static_cast<unsigned long long>(surge.tenants[t].sent));
-      violation = true;
-    }
+    gates.Check(surge.tenants[t].ok == surge.tenants[t].sent,
+                "victim %c lost goodput under surge (%" PRIu64 "/%" PRIu64
+                " ok)",
+                'a' + t, surge.tenants[t].ok, surge.tenants[t].sent);
   }
 
   // -- dedup namespace isolation --
@@ -426,20 +389,13 @@ int main(int argc, char** argv) {
         .Field("intra_tenant_suppressions", dedup.intra_tenant_suppressions);
     json_rows.push_back(row.Render());
   }
-  if (dedup.execs_a != 32 || dedup.execs_b != 32 ||
-      dedup.cross_tenant_suppressions != 0) {
-    std::fprintf(stderr,
-                 "VIOLATION: cross-tenant dedup leak (A=%llu B=%llu suppressed=%llu; "
-                 "want 32/32/0)\n",
-                 static_cast<unsigned long long>(dedup.execs_a),
-                 static_cast<unsigned long long>(dedup.execs_b),
-                 static_cast<unsigned long long>(dedup.cross_tenant_suppressions));
-    violation = true;
-  }
-  if (dedup.intra_tenant_suppressions != 1) {
-    std::fprintf(stderr, "VIOLATION: intra-tenant duplicate was not suppressed\n");
-    violation = true;
-  }
+  gates.Check(dedup.execs_a == 32 && dedup.execs_b == 32 &&
+                  dedup.cross_tenant_suppressions == 0,
+              "cross-tenant dedup leak (A=%" PRIu64 " B=%" PRIu64
+              " suppressed=%" PRIu64 "; want 32/32/0)",
+              dedup.execs_a, dedup.execs_b, dedup.cross_tenant_suppressions);
+  gates.Check(dedup.intra_tenant_suppressions == 1,
+              "intra-tenant duplicate was not suppressed");
 
   // -- chaos: periodic NIC crashes with three active VFs --
   const CellResult chaos = RunCell(args.seed, fair_rates,
@@ -470,29 +426,16 @@ int main(int argc, char** argv) {
         .Field("duplicate_executions", chaos_dups);
     json_rows.push_back(row.Render());
   }
-  if (chaos.nic_crashes == 0 || chaos.recoveries != chaos.nic_crashes) {
-    std::fprintf(stderr, "VIOLATION: recovered %llu of %llu NIC crashes\n",
-                 static_cast<unsigned long long>(chaos.recoveries),
-                 static_cast<unsigned long long>(chaos.nic_crashes));
-    violation = true;
-  }
-  if (chaos.replayed_vfs != kTenants * chaos.recoveries) {
-    std::fprintf(stderr,
-                 "VIOLATION: %llu VF partitions replayed over %llu recoveries "
-                 "(want %d per recovery)\n",
-                 static_cast<unsigned long long>(chaos.replayed_vfs),
-                 static_cast<unsigned long long>(chaos.recoveries), kTenants);
-    violation = true;
-  }
-  if (chaos_dups != 0) {
-    std::fprintf(stderr, "VIOLATION: %llu duplicate executions under chaos\n",
-                 static_cast<unsigned long long>(chaos_dups));
-    violation = true;
-  }
-  if (chaos_ok == 0) {
-    std::fprintf(stderr, "VIOLATION: chaos cell completed nothing\n");
-    violation = true;
-  }
+  gates.Check(chaos.nic_crashes != 0 && chaos.recoveries == chaos.nic_crashes,
+              "recovered %" PRIu64 " of %" PRIu64 " NIC crashes",
+              chaos.recoveries, chaos.nic_crashes);
+  gates.Check(chaos.replayed_vfs == kTenants * chaos.recoveries,
+              "%" PRIu64 " VF partitions replayed over %" PRIu64
+              " recoveries (want %d per recovery)",
+              chaos.replayed_vfs, chaos.recoveries, kTenants);
+  gates.Check(chaos_dups == 0, "%" PRIu64 " duplicate executions under chaos",
+              chaos_dups);
+  gates.Check(chaos_ok != 0, "chaos cell completed nothing");
 
   if (!args.json.empty()) {
     JsonObject doc;
@@ -514,5 +457,5 @@ int main(int argc, char** argv) {
               "15%%). Per-VF dedup namespaces never suppress across tenants, and a NIC\n"
               "crash replays all three VF partitions from the OS shadow with\n"
               "at-most-once intact.\n");
-  return violation ? 1 : 0;
+  return gates.Exit();
 }

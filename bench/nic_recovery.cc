@@ -23,7 +23,6 @@
 // --smoke is the CI gate: the single-crash measurement plus a short chaos
 // campaign over a few seeds, all gates enforced.
 #include <cmath>
-#include <unordered_map>
 
 #include "bench/common.h"
 #include "src/cluster/directory.h"
@@ -32,8 +31,7 @@
 namespace lauberhorn {
 namespace {
 
-ServiceDef MakeCountingService(std::unordered_map<uint64_t, uint32_t>& execs,
-                               Duration service_time) {
+ServiceDef MakeCountingService(ExecutionLedger& ledger, Duration service_time) {
   ServiceDef def;
   def.service_id = 1;
   def.name = "counted-echo";
@@ -43,10 +41,7 @@ ServiceDef MakeCountingService(std::unordered_map<uint64_t, uint32_t>& execs,
   method.name = "counted";
   method.request_sig.args = {WireType::kU64, WireType::kBytes};
   method.response_sig.args = {WireType::kU64, WireType::kBytes};
-  method.handler = [&execs](const std::vector<WireValue>& args) {
-    ++execs[args.at(0).scalar];
-    return std::vector<WireValue>{args.at(0), args.at(1)};
-  };
+  method.handler = ledger.Handler();
   method.SetFixedServiceTime(service_time);
   def.methods[0] = std::move(method);
   return def;
@@ -103,10 +98,10 @@ RecoverCell MeasureRecovery(uint64_t seed) {
   config.faults.nic_crash.crash_period = 0;  // one crash
   config.faults.nic_crash.reset_latency = Microseconds(80);
 
-  std::unordered_map<uint64_t, uint32_t> execs;
+  ExecutionLedger ledger;
   Machine machine(std::move(config));
   const ServiceDef& svc = machine.AddService(
-      MakeCountingService(execs, Microseconds(1)), /*max_cores=*/4);
+      MakeCountingService(ledger, Microseconds(1)), /*max_cores=*/4);
   machine.Start();
   machine.StartHotLoop(svc);
 
@@ -169,12 +164,8 @@ RecoverCell MeasureRecovery(uint64_t seed) {
 
   cell.sent = seq;
   cell.retransmits = machine.client().retransmits();
-  for (const auto& [s, count] : execs) {
-    cell.total_execs += count;
-    if (count > 1) {
-      ++cell.dup_execs;
-    }
-  }
+  cell.total_execs = ledger.Total();
+  cell.dup_execs = ledger.Duplicates();
   const auto& rec = recovery->stats();
   cell.recoveries = rec.recoveries;
   cell.replayed_endpoints = rec.replayed_endpoints;
@@ -251,10 +242,10 @@ ChaosCell MeasureChaos(uint64_t seed, bool smoke) {
   config.client_congestion = true;  // exercise the CC fault layer too
   config.enable_spans = true;
 
-  std::unordered_map<uint64_t, uint32_t> execs;
+  ExecutionLedger ledger;
   Machine machine(std::move(config));
   const ServiceDef& svc = machine.AddService(
-      MakeCountingService(execs, Microseconds(1)), /*max_cores=*/4);
+      MakeCountingService(ledger, Microseconds(1)), /*max_cores=*/4);
   machine.Start();
   machine.StartHotLoop(svc);
   machine.sim().RunUntil(Milliseconds(1));
@@ -293,12 +284,8 @@ ChaosCell MeasureChaos(uint64_t seed, bool smoke) {
   machine.sim().RunUntil(stop + Milliseconds(40));
 
   cell.sent = seq;
-  for (const auto& [s, count] : execs) {
-    cell.total_execs += count;
-    if (count > 1) {
-      ++cell.dup_execs;
-    }
-  }
+  cell.total_execs = ledger.Total();
+  cell.dup_execs = ledger.Duplicates();
   const auto& faults = machine.fault_injector()->stats();
   cell.nic_crashes = faults.nic_crashes;
   cell.os_crashes = faults.os_crashes;
@@ -334,7 +321,7 @@ int main(int argc, char** argv) {
   PrintHeader("RECOV",
               "NIC hot recovery: shadow replay blackout + randomized chaos campaign");
 
-  bool violation = false;
+  Gates gates;
   std::vector<std::string> json_rows;
 
   // -- Part 1: single crash under load --
@@ -388,50 +375,30 @@ int main(int argc, char** argv) {
   }
 
   // Acceptance gates for the recovery path.
-  if (r.dup_execs != 0) {
-    std::fprintf(stderr, "VIOLATION: %llu sequences executed more than once across the crash\n",
-                 static_cast<unsigned long long>(r.dup_execs));
-    violation = true;
-  }
-  if (r.total_execs != r.sent) {
-    std::fprintf(stderr, "VIOLATION: %llu executions for %llu sent (at-most-once accounting broken)\n",
-                 static_cast<unsigned long long>(r.total_execs),
-                 static_cast<unsigned long long>(r.sent));
-    violation = true;
-  }
-  if (r.done != r.sent) {
-    std::fprintf(stderr, "VIOLATION: only %llu of %llu calls reached a terminal outcome\n",
-                 static_cast<unsigned long long>(r.done),
-                 static_cast<unsigned long long>(r.sent));
-    violation = true;
-  }
-  if (r.recoveries != 1) {
-    std::fprintf(stderr, "VIOLATION: expected exactly one recovery, saw %llu\n",
-                 static_cast<unsigned long long>(r.recoveries));
-    violation = true;
-  }
-  if (r.blackout <= 0 || r.blackout > Microseconds(500)) {
-    std::fprintf(stderr, "VIOLATION: blackout %.1f us outside (0, 500] us\n",
-                 ToMicroseconds(r.blackout));
-    violation = true;
-  }
-  if (r.goodput_after < 0.8 * r.goodput_before) {
-    std::fprintf(stderr, "VIOLATION: goodput did not recover (%.1f/ms after vs %.1f/ms before)\n",
-                 r.goodput_after, r.goodput_before);
-    violation = true;
-  }
-  if (r.marked_degraded != 1 || r.marked_up != 1 || r.marked_down != 0) {
-    std::fprintf(stderr, "VIOLATION: directory saw degraded=%llu up=%llu down=%llu (want 1/1/0)\n",
-                 static_cast<unsigned long long>(r.marked_degraded),
-                 static_cast<unsigned long long>(r.marked_up),
-                 static_cast<unsigned long long>(r.marked_down));
-    violation = true;
-  }
-  if (r.ring_moves_degraded != 0) {
-    std::fprintf(stderr, "VIOLATION: kDegraded moved %llu hash-ring keys (must be 0)\n",
-                 static_cast<unsigned long long>(r.ring_moves_degraded));
-    violation = true;
-  }
+  gates.Check(r.dup_execs == 0,
+              "%" PRIu64 " sequences executed more than once across the crash",
+              r.dup_execs);
+  gates.Check(r.total_execs == r.sent,
+              "%" PRIu64 " executions for %" PRIu64
+              " sent (at-most-once accounting broken)",
+              r.total_execs, r.sent);
+  gates.Check(r.done == r.sent,
+              "only %" PRIu64 " of %" PRIu64 " calls reached a terminal outcome",
+              r.done, r.sent);
+  gates.Check(r.recoveries == 1, "expected exactly one recovery, saw %" PRIu64,
+              r.recoveries);
+  gates.Check(r.blackout > 0 && r.blackout <= Microseconds(500),
+              "blackout %.1f us outside (0, 500] us", ToMicroseconds(r.blackout));
+  gates.Check(r.goodput_after >= 0.8 * r.goodput_before,
+              "goodput did not recover (%.1f/ms after vs %.1f/ms before)",
+              r.goodput_after, r.goodput_before);
+  gates.Check(r.marked_degraded == 1 && r.marked_up == 1 && r.marked_down == 0,
+              "directory saw degraded=%" PRIu64 " up=%" PRIu64 " down=%" PRIu64
+              " (want 1/1/0)",
+              r.marked_degraded, r.marked_up, r.marked_down);
+  gates.Check(r.ring_moves_degraded == 0,
+              "kDegraded moved %" PRIu64 " hash-ring keys (must be 0)",
+              r.ring_moves_degraded);
 
   // -- Part 2: chaos campaign --
   const int num_seeds = args.smoke ? 4 : 24;
@@ -482,48 +449,28 @@ int main(int argc, char** argv) {
     json_rows.push_back(row.Render());
 
     // Invariants, per seed.
-    if (cell.dup_execs != 0) {
-      std::fprintf(stderr, "VIOLATION: seed %llu executed %llu sequences twice\n",
-                   static_cast<unsigned long long>(cell.seed),
-                   static_cast<unsigned long long>(cell.dup_execs));
-      violation = true;
-    }
-    if (cell.done != cell.sent) {
-      std::fprintf(stderr, "VIOLATION: seed %llu terminated %llu of %llu calls\n",
-                   static_cast<unsigned long long>(cell.seed),
-                   static_cast<unsigned long long>(cell.done),
-                   static_cast<unsigned long long>(cell.sent));
-      violation = true;
-    }
-    if (cell.ok == 0) {
-      std::fprintf(stderr, "VIOLATION: seed %llu completed nothing\n",
-                   static_cast<unsigned long long>(cell.seed));
-      violation = true;
-    }
-    if (cell.nic_crashes == 0 || cell.recoveries != cell.nic_crashes) {
-      std::fprintf(stderr, "VIOLATION: seed %llu recovered %llu of %llu NIC crashes\n",
-                   static_cast<unsigned long long>(cell.seed),
-                   static_cast<unsigned long long>(cell.recoveries),
-                   static_cast<unsigned long long>(cell.nic_crashes));
-      violation = true;
-    }
-    if (cell.span_monotonic_violations != 0) {
-      std::fprintf(stderr, "VIOLATION: seed %llu has %llu non-monotonic spans\n",
-                   static_cast<unsigned long long>(cell.seed),
-                   static_cast<unsigned long long>(cell.span_monotonic_violations));
-      violation = true;
-    }
+    gates.Check(cell.dup_execs == 0,
+                "seed %" PRIu64 " executed %" PRIu64 " sequences twice",
+                cell.seed, cell.dup_execs);
+    gates.Check(cell.done == cell.sent,
+                "seed %" PRIu64 " terminated %" PRIu64 " of %" PRIu64 " calls",
+                cell.seed, cell.done, cell.sent);
+    gates.Check(cell.ok != 0, "seed %" PRIu64 " completed nothing", cell.seed);
+    gates.Check(cell.nic_crashes != 0 && cell.recoveries == cell.nic_crashes,
+                "seed %" PRIu64 " recovered %" PRIu64 " of %" PRIu64
+                " NIC crashes",
+                cell.seed, cell.recoveries, cell.nic_crashes);
+    gates.Check(cell.span_monotonic_violations == 0,
+                "seed %" PRIu64 " has %" PRIu64 " non-monotonic spans",
+                cell.seed, cell.span_monotonic_violations);
     // Span completeness: a completed span may miss stages only when the
     // response came from the dedup cache / a retransmit reopened it — all
     // accounted by the NIC's duplicate counters and the collector's own
     // orphan bookkeeping.
-    if (cell.spans_incomplete > cell.span_orphans_accounted) {
-      std::fprintf(stderr, "VIOLATION: seed %llu has %llu incomplete spans, only %llu accounted\n",
-                   static_cast<unsigned long long>(cell.seed),
-                   static_cast<unsigned long long>(cell.spans_incomplete),
-                   static_cast<unsigned long long>(cell.span_orphans_accounted));
-      violation = true;
-    }
+    gates.Check(cell.spans_incomplete <= cell.span_orphans_accounted,
+                "seed %" PRIu64 " has %" PRIu64 " incomplete spans, only %" PRIu64
+                " accounted",
+                cell.seed, cell.spans_incomplete, cell.span_orphans_accounted);
   }
   PrintTable(chaos, args.csv);
 
@@ -544,5 +491,5 @@ int main(int argc, char** argv) {
               "and recovers; the directory publishes degraded->up with zero hash-ring\n"
               "churn; and the chaos campaign holds zero duplicate executions and full\n"
               "termination on every seed.\n");
-  return violation ? 1 : 0;
+  return gates.Exit();
 }

@@ -26,7 +26,6 @@
 // executions under faults.
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 
 #include "bench/common.h"
 
@@ -95,41 +94,6 @@ double Calibrate(StackKind stack, uint64_t seed) {
   return static_cast<double>(delta) / ToSeconds(window);
 }
 
-struct ShedCounters {
-  uint64_t queue = 0;
-  uint64_t quota = 0;
-  uint64_t sojourn = 0;
-  Duration cpu = 0;  // host-CPU time burned saying "no"
-  uint64_t total() const { return queue + quota + sojourn; }
-};
-
-ShedCounters ReadSheds(Machine& machine, StackKind stack) {
-  ShedCounters c;
-  switch (stack) {
-    case StackKind::kLinux:
-      c.queue = machine.linux_stack()->sheds_queue();
-      c.quota = machine.linux_stack()->sheds_quota();
-      c.sojourn = machine.linux_stack()->sheds_sojourn();
-      c.cpu = machine.linux_stack()->shed_cpu_time();
-      break;
-    case StackKind::kBypass:
-      c.queue = machine.bypass()->sheds_queue();
-      c.quota = machine.bypass()->sheds_quota();
-      c.sojourn = machine.bypass()->sheds_sojourn();
-      c.cpu = machine.bypass()->shed_cpu_time();
-      break;
-    case StackKind::kLauberhorn: {
-      const auto& stats = machine.lauberhorn_nic()->stats();
-      c.queue = stats.requests_shed_queue;
-      c.quota = stats.requests_shed_quota;
-      c.sojourn = stats.requests_shed_sojourn;
-      c.cpu = 0;  // NIC-side shed: no host core ever sees the request
-      break;
-    }
-  }
-  return c;
-}
-
 AdmissionConfig MakeAdmission(double capacity_rps) {
   AdmissionConfig admission;
   admission.enabled = true;
@@ -156,7 +120,7 @@ struct SurgeCell {
   double surge_rate = 0.0;     // goodput during the surge phase, rps
   double retention = 0.0;      // surge_rate / baseline_rate
   double shed_fraction = 0.0;  // sheds / arrivals during the surge
-  ShedCounters sheds;          // surge-phase deltas
+  ShedCounts sheds;            // surge-phase deltas
   Duration shed_cpu_per_shed = 0;
   Duration p999_unloaded = 0;
   Duration p50_surge = 0;
@@ -228,7 +192,7 @@ SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
   uint64_t sent_at_surge_start = 0;
   uint64_t sent_at_surge_end = 0;
   uint64_t overloaded_at_surge_start = 0;
-  ShedCounters sheds_at_surge_start;
+  ShedCounts sheds_at_surge_start;
 
   machine.sim().ScheduleAt(baseline_start, [&, phase]() {
     *phase = kBaseline;
@@ -238,7 +202,7 @@ SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
     *phase = kSurge;
     sent_at_surge_start = gen.sent();
     overloaded_at_surge_start = machine.client().overloaded();
-    sheds_at_surge_start = ReadSheds(machine, stack);
+    sheds_at_surge_start = machine.server_stats().sheds;
     gen.SetRate(mult * capacity_rps);
     gen.SetWeights({0.55, 0.15, 0.15, 0.15});  // flash crowd on service 1
   });
@@ -248,10 +212,11 @@ SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
   machine.sim().ScheduleAt(surge_end, [&, phase]() {
     *phase = kRecovery;
     sent_at_surge_end = gen.sent();
-    const ShedCounters now = ReadSheds(machine, stack);
+    const ShedCounts now = machine.server_stats().sheds;
     cell.sheds.queue = now.queue - sheds_at_surge_start.queue;
     cell.sheds.quota = now.quota - sheds_at_surge_start.quota;
     cell.sheds.sojourn = now.sojourn - sheds_at_surge_start.sojourn;
+    cell.sheds.vf_quota = now.vf_quota - sheds_at_surge_start.vf_quota;
     cell.sheds.cpu = now.cpu - sheds_at_surge_start.cpu;
     cell.surge_overloaded =
         machine.client().overloaded() - overloaded_at_surge_start;
@@ -318,7 +283,7 @@ struct FaultCell {
   uint64_t late = 0;
 };
 
-ServiceDef MakeCountingService(std::unordered_map<uint64_t, uint32_t>& execs) {
+ServiceDef MakeCountingService(ExecutionLedger& ledger) {
   ServiceDef def;
   def.service_id = 1;
   def.name = "counted-echo";
@@ -328,10 +293,7 @@ ServiceDef MakeCountingService(std::unordered_map<uint64_t, uint32_t>& execs) {
   method.name = "counted";
   method.request_sig.args = {WireType::kU64, WireType::kBytes};
   method.response_sig.args = {WireType::kU64, WireType::kBytes};
-  method.handler = [&execs](const std::vector<WireValue>& args) {
-    ++execs[args.at(0).scalar];
-    return std::vector<WireValue>{args.at(0), args.at(1)};
-  };
+  method.handler = ledger.Handler();
   method.SetFixedServiceTime(kServiceTime);
   def.methods[0] = std::move(method);
   return def;
@@ -359,10 +321,10 @@ FaultCell MeasureFaulted(StackKind stack, double capacity_rps, uint64_t seed,
   // an evicted completed entry would let a late retransmit re-execute.
   config.server_dedup_window = 1 << 16;
 
-  std::unordered_map<uint64_t, uint32_t> execs;
+  ExecutionLedger ledger;
   Machine machine(std::move(config));
   const ServiceDef& svc =
-      machine.AddService(MakeCountingService(execs),
+      machine.AddService(MakeCountingService(ledger),
                          /*max_cores=*/stack == StackKind::kLauberhorn ? 4 : 1);
   machine.Start();
   if (stack == StackKind::kLauberhorn) {
@@ -404,12 +366,8 @@ FaultCell MeasureFaulted(StackKind stack, double capacity_rps, uint64_t seed,
   cell.breaker_openings = machine.client().breaker_openings();
   cell.suppressed_breaker = machine.client().retransmits_suppressed_breaker();
   cell.late = machine.client().late_responses();
-  cell.sheds = ReadSheds(machine, stack).total();
-  for (const auto& [s, count] : execs) {
-    if (count > 1) {
-      ++cell.dup_execs;
-    }
-  }
+  cell.sheds = machine.server_stats().sheds.total();
+  cell.dup_execs = ledger.Duplicates();
   return cell;
 }
 
@@ -467,7 +425,7 @@ int main(int argc, char** argv) {
       });
   (void)done;
 
-  bool violation = false;
+  Gates gates;
   std::vector<std::string> json_rows;
 
   Table table({"stack", "mult", "cap (krps)", "retention", "shed frac",
@@ -521,31 +479,19 @@ int main(int argc, char** argv) {
     }
     // Gates at the 5x point (the ISSUE's acceptance criteria).
     if (job.mult == 5.0) {
-      if (cell.retention < 0.8) {
-        std::fprintf(stderr,
-                     "VIOLATION: %s at 5x retained only %.3f of saturation "
-                     "goodput (floor 0.8)\n",
-                     ToString(stack).c_str(), cell.retention);
-        violation = true;
-      }
-      if (cell.p999_surge > 10 * cell.p999_unloaded) {
-        std::fprintf(stderr,
-                     "VIOLATION: %s admitted p99.9 under surge (%.1f us) is "
-                     "more than 10x the unloaded p99.9 (%.1f us)\n",
-                     ToString(stack).c_str(), ToMicroseconds(cell.p999_surge),
-                     ToMicroseconds(cell.p999_unloaded));
-        violation = true;
-      }
-      if (cell.sheds.total() == 0) {
-        std::fprintf(stderr, "VIOLATION: %s shed nothing at 5x offered load\n",
-                     ToString(stack).c_str());
-        violation = true;
-      }
-      if (cell.surge_ok == 0) {
-        std::fprintf(stderr, "VIOLATION: %s served nothing during the surge\n",
-                     ToString(stack).c_str());
-        violation = true;
-      }
+      const std::string name = ToString(stack);
+      gates.Check(cell.retention >= 0.8,
+                  "%s at 5x retained only %.3f of saturation goodput (floor 0.8)",
+                  name.c_str(), cell.retention);
+      gates.Check(cell.p999_surge <= 10 * cell.p999_unloaded,
+                  "%s admitted p99.9 under surge (%.1f us) is more than 10x the "
+                  "unloaded p99.9 (%.1f us)",
+                  name.c_str(), ToMicroseconds(cell.p999_surge),
+                  ToMicroseconds(cell.p999_unloaded));
+      gates.Check(cell.sheds.total() != 0, "%s shed nothing at 5x offered load",
+                  name.c_str());
+      gates.Check(cell.surge_ok != 0, "%s served nothing during the surge",
+                  name.c_str());
     }
   }
   PrintTable(table, args.csv);
@@ -557,15 +503,11 @@ int main(int argc, char** argv) {
     if (s == lauberhorn_index || sheds_at_5x[s] == 0) {
       continue;
     }
-    if (shed_cpu_at_5x[lauberhorn_index] >= shed_cpu_at_5x[s]) {
-      std::fprintf(stderr,
-                   "VIOLATION: lauberhorn per-shed host CPU (%.1f ns) is not "
-                   "below %s (%.1f ns)\n",
-                   static_cast<double>(shed_cpu_at_5x[lauberhorn_index]) / 1000.0,
-                   ToString(stacks[s]).c_str(),
-                   static_cast<double>(shed_cpu_at_5x[s]) / 1000.0);
-      violation = true;
-    }
+    gates.Check(shed_cpu_at_5x[lauberhorn_index] < shed_cpu_at_5x[s],
+                "lauberhorn per-shed host CPU (%.1f ns) is not below %s (%.1f ns)",
+                static_cast<double>(shed_cpu_at_5x[lauberhorn_index]) / 1000.0,
+                ToString(stacks[s]).c_str(),
+                static_cast<double>(shed_cpu_at_5x[s]) / 1000.0);
   }
 
   std::printf("\n");
@@ -599,20 +541,13 @@ int main(int argc, char** argv) {
         .Field("duplicate_executions", cell.dup_execs);
     json_rows.push_back(row.Render());
 
-    if (cell.dup_execs != 0) {
-      std::fprintf(stderr,
-                   "VIOLATION: %s executed %llu sequences more than once under "
-                   "faults + overload\n",
-                   ToString(stack).c_str(),
-                   static_cast<unsigned long long>(cell.dup_execs));
-      violation = true;
-    }
-    if (cell.ok == 0) {
-      std::fprintf(stderr,
-                   "VIOLATION: %s served nothing under faults + overload\n",
-                   ToString(stack).c_str());
-      violation = true;
-    }
+    const std::string name = ToString(stack);
+    gates.Check(cell.dup_execs == 0,
+                "%s executed %" PRIu64
+                " sequences more than once under faults + overload",
+                name.c_str(), cell.dup_execs);
+    gates.Check(cell.ok != 0, "%s served nothing under faults + overload",
+                name.c_str());
   }
   PrintTable(fault_table, args.csv);
 
@@ -633,5 +568,5 @@ int main(int argc, char** argv) {
       "admitted latency stays bounded because the sojourn gate sheds instead of\n"
       "queueing. The shed-cpu column is the paper's point: Lauberhorn says \"no\"\n"
       "in the NIC for free, Linux and bypass burn host cycles per rejection.\n");
-  return violation ? 1 : 0;
+  return gates.Exit();
 }

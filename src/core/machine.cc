@@ -29,7 +29,7 @@ std::string ToString(StackKind kind) {
 Machine::Machine(MachineConfig config) : Machine(std::move(config), nullptr) {}
 
 Machine::Machine(MachineConfig config, Simulator* shared_sim)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), dedup_(config_.server_dedup_window) {
   if (shared_sim != nullptr) {
     sim_ = shared_sim;
   } else {
@@ -97,10 +97,9 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
         linux_config.encrypt_rpcs = config_.encrypt_rpcs;
         linux_config.crypto_root_key = config_.crypto_root_key;
         linux_config.dedup = config_.server_dedup;
-        linux_config.dedup_window = config_.server_dedup_window;
         linux_stack_ = std::make_unique<LinuxRpcStack>(*sim_, *kernel_, *dma_nic_,
                                                        *dma_driver_, *msix_, services_,
-                                                       linux_config);
+                                                       dedup_, linux_config);
       } else {
         BypassRuntime::Config bypass_config;
         for (uint32_t q = 0; q < config_.nic_queues; ++q) {
@@ -110,9 +109,8 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
         bypass_config.encrypt_rpcs = config_.encrypt_rpcs;
         bypass_config.crypto_root_key = config_.crypto_root_key;
         bypass_config.dedup = config_.server_dedup;
-        bypass_config.dedup_window = config_.server_dedup_window;
         bypass_ = std::make_unique<BypassRuntime>(*sim_, *kernel_, *dma_driver_, services_,
-                                                  bypass_config);
+                                                  dedup_, bypass_config);
       }
       break;
     }
@@ -129,11 +127,8 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
       nic_config.crypto_root_key = config_.crypto_root_key;
       nic_config.own_ip = config_.server_ip;
       nic_config.dedup = config_.server_dedup;
-      // §16: the at-most-once table is host memory the NIC works on by
-      // reference, so it survives a NIC crash without a shadow copy.
-      nic_dedup_ = std::make_unique<RpcDedupCache>(config_.server_dedup_window);
       lauberhorn_nic_ = std::make_unique<LauberhornNic>(
-          *sim_, *interconnect_, *pcie_, services_, *nic_dedup_, nic_config);
+          *sim_, *interconnect_, *pcie_, services_, dedup_, nic_config);
       if (faults_ != nullptr) {
         lauberhorn_nic_->set_fault_injector(faults_.get());
       }
@@ -360,6 +355,20 @@ void Machine::ResetMeasurement() {
   rpcs_at_reset_ = server_rpcs_;
 }
 
+Machine::ServerStats Machine::server_stats() const {
+  ServerStats out;
+  out.dedup = dedup_.stats();
+  if (lauberhorn_nic_ != nullptr) {
+    const LauberhornNic::Stats nic = lauberhorn_nic_->stats();
+    out.sheds = nic.sheds;
+    out.service_down_drops = nic.drops_service_down;
+    return out;
+  }
+  out.sheds = linux_stack_ != nullptr ? linux_stack_->sheds() : bypass_->sheds();
+  out.service_down_drops = dma_nic_->rx_drops_service_down();
+  return out;
+}
+
 void Machine::ExportMetrics(MetricsRegistry& metrics,
                             const std::string& prefix) const {
   const auto C = [&](const char* name, uint64_t value) {
@@ -414,6 +423,20 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
   export_pair_drops("client_egress", wire_->a_to_b());
   export_pair_drops("nic_egress", wire_->b_to_a());
 
+  // Server-side facts under one name on every stack (server_stats()).
+  const ServerStats server = server_stats();
+  C("server/dedup/admitted", server.dedup.admitted);
+  C("server/dedup/drops_in_flight", server.dedup.duplicates_in_flight);
+  C("server/dedup/replays", server.dedup.duplicates_replayed);
+  C("server/dedup/evictions", server.dedup.evictions);
+  C("server/service_down_drops", server.service_down_drops);
+  C("overload/sheds_queue", server.sheds.queue);
+  C("overload/sheds_quota", server.sheds.quota);
+  C("overload/sheds_sojourn", server.sheds.sojourn);
+  C("overload/sheds_vf_quota", server.sheds.vf_quota);
+  G("overload/shed_cpu_us", static_cast<double>(server.sheds.cpu) /
+                                static_cast<double>(Microseconds(1)));
+
   if (lauberhorn_nic_ != nullptr) {
     const LauberhornNic::Stats& s = lauberhorn_nic_->stats();
     C("nic/hot_dispatches", s.hot_dispatches);
@@ -425,18 +448,12 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("nic/responses_sent", s.responses_sent);
     C("nic/dma_fallback_rx", s.dma_fallback_rx);
     C("nic/dma_fallback_tx", s.dma_fallback_tx);
-    C("nic/dup_drops_in_flight", s.dup_drops_in_flight);
-    C("nic/dup_replays", s.dup_replays);
     C("nic/degradations", s.degradations);
     C("nic/grants_issued", s.grants_issued);
     C("nic/ecn_echoes", s.ecn_echoes);
     C("nic/drops_nic_down", s.drops_nic_down);
     C("nic/crashed_polls", s.crashed_polls);
     C("nic/resets", s.nic_resets);
-    C("overload/sheds_queue", s.requests_shed_queue);
-    C("overload/sheds_quota", s.requests_shed_quota);
-    C("overload/sheds_sojourn", s.requests_shed_sojourn);
-    C("overload/sheds_vf_quota", s.requests_shed_vf_quota);
     // Per-core occupancy: where the NIC's dispatch decisions actually landed
     // (§18). busy_ns is delivered-to-collected time, queue_depth the live
     // private backlog of the endpoint active on that core.
@@ -468,10 +485,10 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
       const std::string base = "nic/vf" + std::to_string(vf) + "/";
       metrics.SetCounter(prefix + base + "rx_requests", v.rx_requests);
       metrics.SetCounter(prefix + base + "responses", v.responses);
-      metrics.SetCounter(prefix + base + "sheds_queue", v.sheds_queue);
-      metrics.SetCounter(prefix + base + "sheds_quota", v.sheds_quota);
-      metrics.SetCounter(prefix + base + "sheds_sojourn", v.sheds_sojourn);
-      metrics.SetCounter(prefix + base + "sheds_vf_quota", v.sheds_vf_quota);
+      metrics.SetCounter(prefix + base + "sheds_queue", v.sheds.queue);
+      metrics.SetCounter(prefix + base + "sheds_quota", v.sheds.quota);
+      metrics.SetCounter(prefix + base + "sheds_sojourn", v.sheds.sojourn);
+      metrics.SetCounter(prefix + base + "sheds_vf_quota", v.sheds.vf_quota);
       metrics.SetCounter(prefix + base + "rss_steered", v.rss_steered);
       metrics.SetCounter(prefix + base + "rss_fallbacks", v.rss_fallbacks);
       metrics.SetCounter(prefix + base + "endpoints", v.endpoints);
@@ -487,30 +504,16 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("runtime/loops_started", lauberhorn_runtime_->loops_started());
     C("runtime/loops_exited", lauberhorn_runtime_->loops_exited());
     C("runtime/nested_issued", lauberhorn_runtime_->nested_issued());
-    C("overload/scale_suppressed", lauberhorn_runtime_->scale_suppressed());
+    C("runtime/scale_suppressed", lauberhorn_runtime_->scale_suppressed());
   }
   if (linux_stack_ != nullptr) {
     C("linux/rpcs_completed", linux_stack_->rpcs_completed());
     C("linux/bad_requests", linux_stack_->bad_requests());
-    C("linux/dup_drops_in_flight", linux_stack_->dup_drops_in_flight());
-    C("linux/dup_replays", linux_stack_->dup_replays());
-    C("overload/sheds_queue", linux_stack_->sheds_queue());
-    C("overload/sheds_quota", linux_stack_->sheds_quota());
-    C("overload/sheds_sojourn", linux_stack_->sheds_sojourn());
-    G("overload/shed_cpu_us", static_cast<double>(linux_stack_->shed_cpu_time()) /
-                                  static_cast<double>(Microseconds(1)));
   }
   if (bypass_ != nullptr) {
     C("bypass/rpcs_completed", bypass_->rpcs_completed());
     C("bypass/bad_requests", bypass_->bad_requests());
     C("bypass/empty_polls", bypass_->empty_polls());
-    C("bypass/dup_drops_in_flight", bypass_->dup_drops_in_flight());
-    C("bypass/dup_replays", bypass_->dup_replays());
-    C("overload/sheds_queue", bypass_->sheds_queue());
-    C("overload/sheds_quota", bypass_->sheds_quota());
-    C("overload/sheds_sojourn", bypass_->sheds_sojourn());
-    G("overload/shed_cpu_us", static_cast<double>(bypass_->shed_cpu_time()) /
-                                  static_cast<double>(Microseconds(1)));
   }
   if (faults_ != nullptr) {
     const FaultInjector::Stats& f = faults_->stats();
@@ -532,7 +535,7 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("recovery/shadow_writes", nic_shadow_->writes());
     G("recovery/shadow_vfs", static_cast<double>(nic_shadow_->vf_count()));
     G("recovery/shadow_endpoints", static_cast<double>(nic_shadow_->endpoint_count()));
-    G("recovery/shadow_dedup_entries", static_cast<double>(nic_dedup_->size()));
+    G("recovery/shadow_dedup_entries", static_cast<double>(dedup_.size()));
   }
   if (nic_recovery_ != nullptr) {
     const NicRecoveryManager::Stats& r = nic_recovery_->stats();

@@ -216,6 +216,17 @@ class Machine {
   double CyclesPerRpc() const;
   void ResetMeasurement();
 
+  // What the server side counted, read the same way on every stack: the
+  // at-most-once table, the sheds and the requests dropped while the OS or
+  // service was down. This is the only place that knows which object holds
+  // each of these counters.
+  struct ServerStats {
+    RpcDedupCache::Stats dedup;
+    ShedCounts sheds;
+    uint64_t service_down_drops = 0;
+  };
+  ServerStats server_stats() const;
+
   // Snapshots every subsystem's counters/latencies into `metrics` under
   // "subsystem/name" keys (client, machine, the active stack, faults, spans).
   // Pull-style: call once after a run; nothing is maintained on the data
@@ -240,12 +251,15 @@ class Machine {
   std::unique_ptr<Link> wire_;  // a = client, b = server NIC
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<SpanCollector> spans_;
+  // The server's one at-most-once table, whichever stack runs. It is host
+  // memory the stack works on by reference: on Lauberhorn it outlives a NIC
+  // crash without a shadow copy (§16).
+  RpcDedupCache dedup_;
 
   std::unique_ptr<DmaNic> dma_nic_;
   std::unique_ptr<DmaNicDriver> dma_driver_;
   std::unique_ptr<LinuxRpcStack> linux_stack_;
   std::unique_ptr<BypassRuntime> bypass_;
-  std::unique_ptr<RpcDedupCache> nic_dedup_;  // outlives lauberhorn_nic_
   std::unique_ptr<LauberhornNic> lauberhorn_nic_;
   std::unique_ptr<LauberhornRuntime> lauberhorn_runtime_;
   std::unique_ptr<NicShadow> nic_shadow_;

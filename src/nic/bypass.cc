@@ -8,13 +8,14 @@
 namespace lauberhorn {
 
 BypassRuntime::BypassRuntime(Simulator& sim, Kernel& kernel, DmaNicDriver& driver,
-                             ServiceRegistry& services, Config config)
+                             ServiceRegistry& services, RpcDedupCache& dedup,
+                             Config config)
     : sim_(sim),
       kernel_(kernel),
       driver_(driver),
       services_(services),
       config_(std::move(config)),
-      dedup_(config_.dedup_window) {
+      dedup_(dedup) {
   assert(config_.cores.size() >= driver_.num_queues() &&
          "bypass needs one dedicated core per queue");
 }
@@ -84,19 +85,7 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
     const ShedReason reason =
         AdmissionCheck(q, service->service_id, packets.size() - index);
     if (reason != ShedReason::kNone) {
-      switch (reason) {
-        case ShedReason::kQueueFull:
-          ++sheds_queue_;
-          break;
-        case ShedReason::kQuota:
-          ++sheds_quota_;
-          break;
-        case ShedReason::kSojourn:
-          ++sheds_sojourn_;
-          break;
-        case ShedReason::kNone:
-          break;
-      }
+      sheds_.Count(reason);
       // DCTCP fallback (§15): ReplyFrame echoes the fabric's CE mark even
       // on a shed.
       const Packet out =
@@ -106,7 +95,7 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
       // Saying "no" skips crypto, dedup, and the handler, but still burns
       // user CPU on the polling core for the decode + reply TX.
       work += config_.tx_per_packet;
-      shed_cpu_time_ += work;
+      sheds_.cpu += work;
       core.Run(work, CoreMode::kUser,
                [this, q, &core, out, packets = std::move(packets), index]() mutable {
                  driver_.Transmit(q, out.bytes);

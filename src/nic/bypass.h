@@ -47,7 +47,6 @@ class BypassRuntime {
     // stage): duplicates of in-flight requests are dropped, completed ones
     // replay the cached response.
     bool dedup = true;
-    size_t dedup_window = 1024;
     // Overload admission in the poll loop. Rings carry no timestamps, so the
     // sojourn check runs on *estimated* delay: ring occupancy times the
     // per-request processing estimate. Sheds cost user CPU on the polling
@@ -55,8 +54,9 @@ class BypassRuntime {
     AdmissionConfig admission;
   };
 
+  // `dedup` is the server's at-most-once table (owned by the Machine).
   BypassRuntime(Simulator& sim, Kernel& kernel, DmaNicDriver& driver,
-                ServiceRegistry& services, Config config);
+                ServiceRegistry& services, RpcDedupCache& dedup, Config config);
 
   // Occupies the dedicated cores and starts spinning.
   void Start();
@@ -73,13 +73,7 @@ class BypassRuntime {
   }
   uint64_t dup_replays() const { return dedup_.stats().duplicates_replayed; }
   // Overload sheds by reason and the user CPU charged for shedding.
-  uint64_t sheds_queue() const { return sheds_queue_; }
-  uint64_t sheds_quota() const { return sheds_quota_; }
-  uint64_t sheds_sojourn() const { return sheds_sojourn_; }
-  uint64_t sheds_total() const {
-    return sheds_queue_ + sheds_quota_ + sheds_sojourn_;
-  }
-  Duration shed_cpu_time() const { return shed_cpu_time_; }
+  const ShedCounts& sheds() const { return sheds_; }
 
  private:
   void Loop(uint32_t q, Core& core);
@@ -96,15 +90,12 @@ class BypassRuntime {
   Config config_;
   SpanCollector* spans_ = nullptr;
   Process* process_ = nullptr;  // the bypass application owns its data plane
-  RpcDedupCache dedup_;
+  RpcDedupCache& dedup_;
   bool running_ = false;
   uint64_t rpcs_completed_ = 0;
   uint64_t bad_requests_ = 0;
   uint64_t empty_polls_ = 0;
-  uint64_t sheds_queue_ = 0;
-  uint64_t sheds_quota_ = 0;
-  uint64_t sheds_sojourn_ = 0;
-  Duration shed_cpu_time_ = 0;
+  ShedCounts sheds_;
   std::unordered_map<uint32_t, TokenBucket> service_quota_;
   std::vector<SojournGate> sojourn_;  // per queue
 };

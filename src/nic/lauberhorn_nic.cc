@@ -1037,31 +1037,11 @@ bool LauberhornNic::Admitted(Endpoint& ep, const PreparedRequest& request,
 
 void LauberhornNic::Shed(Endpoint& ep, const PreparedRequest& request,
                          ShedReason reason) {
-  VfStats& vf_stats = vfs_[ep.vf].stats;
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      ++stats_.requests_shed_queue;
-      ++stats_.drops_queue_full;
-      ++ep.shed_queue;
-      ++vf_stats.sheds_queue;
-      break;
-    case ShedReason::kQuota:
-      ++stats_.requests_shed_quota;
-      ++ep.shed_quota;
-      ++vf_stats.sheds_quota;
-      break;
-    case ShedReason::kSojourn:
-      ++stats_.requests_shed_sojourn;
-      ++ep.shed_sojourn;
-      ++vf_stats.sheds_sojourn;
-      break;
-    case ShedReason::kVfQuota:
-      ++stats_.requests_shed_vf_quota;
-      ++ep.shed_vf_quota;
-      ++vf_stats.sheds_vf_quota;
-      break;
-    case ShedReason::kNone:
-      break;
+  stats_.sheds.Count(reason);
+  ep.sheds.Count(reason);
+  vfs_[ep.vf].stats.sheds.Count(reason);
+  if (reason == ShedReason::kQueueFull) {
+    ++stats_.drops_queue_full;
   }
   trace_.Emit(sim_.Now(), TraceEvent::kDrop, ep.id,
               static_cast<uint32_t>(reason));
@@ -1698,12 +1678,6 @@ bool LauberhornNic::EndpointActive(uint32_t endpoint) const {
   return endpoints_[endpoint].active;
 }
 
-LauberhornNic::EndpointSheds LauberhornNic::endpoint_sheds(uint32_t endpoint) const {
-  const Endpoint& ep = endpoints_[endpoint];
-  return EndpointSheds{ep.shed_queue, ep.shed_quota, ep.shed_sojourn,
-                       ep.shed_vf_quota};
-}
-
 std::string LauberhornNic::DebugReport() {
   std::string out = "LauberhornNic endpoints:\n";
   char line[256];
@@ -1735,10 +1709,10 @@ std::string LauberhornNic::DebugReport() {
   out += line;
   std::snprintf(line, sizeof(line),
                 "  sheds: queue=%llu quota=%llu sojourn=%llu vf_quota=%llu\n",
-                static_cast<unsigned long long>(stats_.requests_shed_queue),
-                static_cast<unsigned long long>(stats_.requests_shed_quota),
-                static_cast<unsigned long long>(stats_.requests_shed_sojourn),
-                static_cast<unsigned long long>(stats_.requests_shed_vf_quota));
+                static_cast<unsigned long long>(stats_.sheds.queue),
+                static_cast<unsigned long long>(stats_.sheds.quota),
+                static_cast<unsigned long long>(stats_.sheds.sojourn),
+                static_cast<unsigned long long>(stats_.sheds.vf_quota));
   out += line;
   for (size_t vf = 1; vf < vfs_.size(); ++vf) {
     const VfState& state = vfs_[vf];
@@ -1749,7 +1723,7 @@ std::string LauberhornNic::DebugReport() {
                   static_cast<unsigned long long>(state.stats.endpoints),
                   static_cast<unsigned long long>(state.stats.rx_requests),
                   static_cast<unsigned long long>(state.stats.responses),
-                  static_cast<unsigned long long>(state.stats.sheds_vf_quota),
+                  static_cast<unsigned long long>(state.stats.sheds.vf_quota),
                   static_cast<unsigned long long>(state.stats.rss_steered),
                   static_cast<unsigned long long>(state.stats.rss_fallbacks));
     out += line;

@@ -140,10 +140,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   struct VfStats {
     uint64_t rx_requests = 0;      // requests demuxed into this VF
     uint64_t responses = 0;        // responses transmitted for this VF
-    uint64_t sheds_queue = 0;      // per-reason sheds inside the VF slice
-    uint64_t sheds_quota = 0;
-    uint64_t sheds_sojourn = 0;
-    uint64_t sheds_vf_quota = 0;   // the VF's own token bucket said no
+    ShedCounts sheds;              // sheds inside the VF slice
     uint64_t rss_steered = 0;      // demux decided by the Toeplitz hash
     uint64_t rss_fallbacks = 0;    // hashed endpoint unusable: legacy picker
     uint64_t endpoints = 0;        // service endpoints currently owned
@@ -174,11 +171,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     uint64_t wedged_polls = 0;         // deliveries withheld by a wedge fault
     uint64_t drops_service_down = 0;   // RX while the OS/service is crashed
     // Overload control: requests shed with an explicit kOverloaded reply,
-    // by reason. requests_shed_queue also covers the bounded cold queue.
-    uint64_t requests_shed_queue = 0;
-    uint64_t requests_shed_quota = 0;
-    uint64_t requests_shed_sojourn = 0;
-    uint64_t requests_shed_vf_quota = 0;  // per-VF (tenant) quota sheds
+    // by reason. sheds.queue also covers the bounded cold queue.
+    ShedCounts sheds;
     // Congestion control (§15): grants attached to responses, and CE marks
     // observed on request frames echoed back to the sender.
     uint64_t grants_issued = 0;
@@ -327,15 +321,10 @@ class LauberhornNic : public HomeAgent, public PacketSink {
 
   // A snapshot: holding it across more simulation does not update it.
   Stats stats() const;
-  // Per-endpoint shed counters (satellite of the overload work: tail drops
-  // must be attributable, not silent).
-  struct EndpointSheds {
-    uint64_t queue = 0;
-    uint64_t quota = 0;
-    uint64_t sojourn = 0;
-    uint64_t vf_quota = 0;
-  };
-  EndpointSheds endpoint_sheds(uint32_t endpoint) const;
+  // Per-endpoint shed counters (tail drops must be attributable, not silent).
+  const ShedCounts& endpoint_sheds(uint32_t endpoint) const {
+    return endpoints_[endpoint].sheds;
+  }
   // Event trace ring (§6: tracing/statistics integration).
   TraceRing& trace() { return trace_; }
   // Instantaneous queue depth of an endpoint (NIC-side pending requests).
@@ -447,10 +436,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     // Overload control: CoDel-style gate over this endpoint's pending queue,
     // and shed attribution.
     SojournGate sojourn_gate;
-    uint64_t shed_queue = 0;
-    uint64_t shed_quota = 0;
-    uint64_t shed_sojourn = 0;
-    uint64_t shed_vf_quota = 0;
+    ShedCounts sheds;
   };
 
   // Per-VF runtime state. The config is control-plane (shadowed, replayed);

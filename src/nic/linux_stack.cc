@@ -10,7 +10,7 @@ namespace lauberhorn {
 
 LinuxRpcStack::LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic,
                              DmaNicDriver& driver, Msix& msix, ServiceRegistry& services,
-                             Config config)
+                             RpcDedupCache& dedup, Config config)
     : sim_(sim),
       kernel_(kernel),
       nic_(nic),
@@ -18,7 +18,7 @@ LinuxRpcStack::LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic,
       msix_(msix),
       services_(services),
       config_(config),
-      dedup_(config.dedup_window) {}
+      dedup_(dedup) {}
 
 void LinuxRpcStack::RegisterServiceProcess(const ServiceDef& service) {
   auto state = std::make_unique<ServiceState>();
@@ -161,19 +161,7 @@ Duration LinuxRpcStack::ShedFrame(uint32_t q, const ParsedFrame& frame,
     ++bad_requests_;
     return costs.protocol_processing;
   }
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      ++sheds_queue_;
-      break;
-    case ShedReason::kQuota:
-      ++sheds_quota_;
-      break;
-    case ShedReason::kSojourn:
-      ++sheds_sojourn_;
-      break;
-    case ShedReason::kNone:
-      break;
-  }
+  sheds_.Count(reason);
   // Host-side DCTCP fallback (§15): no grants here, but ReplyFrame still
   // echoes the CE mark the request picked up in the fabric.
   const Packet out =
@@ -182,7 +170,7 @@ Duration LinuxRpcStack::ShedFrame(uint32_t q, const ParsedFrame& frame,
                          request->request_id, RpcStatus::kOverloaded));
   driver_.Transmit(q, out.bytes);
   const Duration cost = costs.protocol_processing + costs.driver_tx_per_packet;
-  shed_cpu_time_ += cost;
+  sheds_.cpu += cost;
   return cost;
 }
 

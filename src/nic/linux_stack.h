@@ -39,7 +39,6 @@ class LinuxRpcStack {
     // instead of running the handler twice (software analog of the
     // Lauberhorn NIC's dedup stage, so the comparison is apples-to-apples).
     bool dedup = true;
-    size_t dedup_window = 1024;
     // Overload admission at the softirq/socket boundary: the same policy the
     // Lauberhorn NIC runs in hardware, but every shed (decode + reply TX)
     // costs kernel CPU on the softirq core — that cost difference is the
@@ -47,8 +46,10 @@ class LinuxRpcStack {
     AdmissionConfig admission;
   };
 
+  // `dedup` is the server's at-most-once table (owned by the Machine).
   LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic, DmaNicDriver& driver,
-                Msix& msix, ServiceRegistry& services, Config config);
+                Msix& msix, ServiceRegistry& services, RpcDedupCache& dedup,
+                Config config);
 
   // Creates the process, worker thread(s), and socket for a service.
   void RegisterServiceProcess(const ServiceDef& service);
@@ -67,13 +68,7 @@ class LinuxRpcStack {
   uint64_t dup_replays() const { return dedup_.stats().duplicates_replayed; }
   // Overload sheds by reason, and the kernel CPU charged for shedding
   // (decode + kOverloaded reply TX on the softirq core).
-  uint64_t sheds_queue() const { return sheds_queue_; }
-  uint64_t sheds_quota() const { return sheds_quota_; }
-  uint64_t sheds_sojourn() const { return sheds_sojourn_; }
-  uint64_t sheds_total() const {
-    return sheds_queue_ + sheds_quota_ + sheds_sojourn_;
-  }
-  Duration shed_cpu_time() const { return shed_cpu_time_; }
+  const ShedCounts& sheds() const { return sheds_; }
 
  private:
   struct ServiceState {
@@ -110,13 +105,10 @@ class LinuxRpcStack {
   SpanCollector* spans_ = nullptr;
   std::vector<Thread*> softirq_threads_;  // one per queue
   std::unordered_map<uint16_t, std::unique_ptr<ServiceState>> by_port_;
-  RpcDedupCache dedup_;
+  RpcDedupCache& dedup_;
   uint64_t rpcs_completed_ = 0;
   uint64_t bad_requests_ = 0;
-  uint64_t sheds_queue_ = 0;
-  uint64_t sheds_quota_ = 0;
-  uint64_t sheds_sojourn_ = 0;
-  Duration shed_cpu_time_ = 0;
+  ShedCounts sheds_;
 };
 
 }  // namespace lauberhorn

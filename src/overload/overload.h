@@ -35,6 +35,36 @@ enum class ShedReason : uint32_t {
 
 std::string ToString(ShedReason reason);
 
+// Sheds by reason, and the host CPU spent saying "no". Every shed tally in
+// every stack is one of these, so a count has one meaning everywhere.
+struct ShedCounts {
+  uint64_t queue = 0;
+  uint64_t quota = 0;
+  uint64_t sojourn = 0;
+  uint64_t vf_quota = 0;
+  Duration cpu = 0;  // 0 on Lauberhorn: the NIC sheds without a host core
+
+  void Count(ShedReason reason) {
+    switch (reason) {
+      case ShedReason::kQueueFull:
+        ++queue;
+        break;
+      case ShedReason::kQuota:
+        ++quota;
+        break;
+      case ShedReason::kSojourn:
+        ++sojourn;
+        break;
+      case ShedReason::kVfQuota:
+        ++vf_quota;
+        break;
+      case ShedReason::kNone:
+        break;
+    }
+  }
+  uint64_t total() const { return queue + quota + sojourn + vf_quota; }
+};
+
 // Refill-on-demand token bucket. Unmetered (rate <= 0) buckets always admit,
 // so a default-constructed bucket is a no-op and stacks can keep one per
 // service unconditionally.

@@ -416,9 +416,9 @@ TEST(DispatchAdmissionTest, CentralQueueShedsAtDepthLimitTimesMembers) {
 
   const LauberhornNic::Stats stats = harness.nic().stats();
   EXPECT_EQ(*max_central, depth_limit * members);
-  EXPECT_GT(stats.requests_shed_queue, 0u);
-  EXPECT_EQ(stats.requests_shed_sojourn, 0u);
-  EXPECT_EQ(harness.ok() + stats.requests_shed_queue, harness.sent());
+  EXPECT_GT(stats.sheds.queue, 0u);
+  EXPECT_EQ(stats.sheds.sojourn, 0u);
+  EXPECT_EQ(harness.ok() + stats.sheds.queue, harness.sent());
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
 }
 
@@ -445,11 +445,11 @@ TEST(DispatchAdmissionTest, CentralSojournGateWatchesTheCentralHead) {
   harness.Flood(400, Microseconds(1));
 
   const LauberhornNic::Stats stats = harness.nic().stats();
-  EXPECT_GT(stats.requests_shed_sojourn, 0u);
-  EXPECT_EQ(stats.requests_shed_queue, 0u);
+  EXPECT_GT(stats.sheds.sojourn, 0u);
+  EXPECT_EQ(stats.sheds.queue, 0u);
   EXPECT_EQ(*max_private, 0u);
   EXPECT_GT(*max_central, 0u);
-  EXPECT_EQ(harness.ok() + stats.requests_shed_sojourn, harness.sent());
+  EXPECT_EQ(harness.ok() + stats.sheds.sojourn, harness.sent());
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
 }
 
@@ -473,8 +473,8 @@ TEST(DispatchAdmissionTest, JbsqRunwayObeysAdmissionDepthLimit) {
 
   const LauberhornNic::Stats stats = harness.nic().stats();
   EXPECT_EQ(*max_pending, depth_limit);
-  EXPECT_GT(stats.requests_shed_queue, 0u);
-  EXPECT_EQ(harness.ok() + stats.requests_shed_queue, harness.sent());
+  EXPECT_GT(stats.sheds.queue, 0u);
+  EXPECT_EQ(harness.ok() + stats.sheds.queue, harness.sent());
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
 }
 

@@ -3,6 +3,9 @@
 // registration, and the RPC client.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "src/core/machine.h"
 
 namespace lauberhorn {
@@ -28,6 +31,50 @@ TEST(MachineTest, OnlyActiveStackObjectsExist) {
   EXPECT_EQ(lbh_machine.dma_nic(), nullptr);
   EXPECT_NE(lbh_machine.lauberhorn_nic(), nullptr);
   EXPECT_NE(lbh_machine.lauberhorn_runtime(), nullptr);
+}
+
+// The server-side counters have one name on every stack: a comparison across
+// stacks reads the same keys, whichever object holds the count.
+TEST(MachineTest, ServerAndOverloadMetricsAreStackNeutral) {
+  const auto server_keys = [](StackKind stack) {
+    MachineConfig config;
+    config.stack = stack;
+    Machine machine(config);
+    const ServiceDef& echo =
+        machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+    machine.Start();
+    machine.client().Call(echo, 0,
+                          std::vector<WireValue>{WireValue::Bytes({1, 2, 3})},
+                          [](const RpcMessage&, Duration) {});
+    machine.sim().RunUntil(Milliseconds(2));
+    MetricsRegistry metrics;
+    machine.ExportMetrics(metrics);
+    EXPECT_EQ(metrics.Counter("server/dedup/admitted"),
+              machine.server_stats().dedup.admitted);
+    EXPECT_EQ(metrics.Counter("server/dedup/admitted"), 1u) << ToString(stack);
+    std::set<std::string> keys;
+    const auto keep = [&keys](const std::string& key) {
+      if (key.rfind("server/", 0) == 0 || key.rfind("overload/", 0) == 0) {
+        keys.insert(key);
+      }
+    };
+    for (const auto& [key, value] : metrics.counters()) {
+      keep(key);
+    }
+    for (const auto& [key, value] : metrics.gauges()) {
+      keep(key);
+    }
+    return keys;
+  };
+  const std::set<std::string> expected = {
+      "overload/shed_cpu_us",         "overload/sheds_queue",
+      "overload/sheds_quota",         "overload/sheds_sojourn",
+      "overload/sheds_vf_quota",      "server/dedup/admitted",
+      "server/dedup/drops_in_flight", "server/dedup/evictions",
+      "server/dedup/replays",         "server/service_down_drops"};
+  EXPECT_EQ(server_keys(StackKind::kLinux), expected);
+  EXPECT_EQ(server_keys(StackKind::kBypass), expected);
+  EXPECT_EQ(server_keys(StackKind::kLauberhorn), expected);
 }
 
 TEST(MachineTest, AllPlatformsBootAndServe) {

@@ -146,19 +146,19 @@ TEST(VfTest, VfQuotaShedsOnNicWithDedicatedReason) {
   EXPECT_GT(ok, 0u);
   EXPECT_GT(overloaded, 0u);
   EXPECT_EQ(ok + overloaded, 20u);
-  EXPECT_GT(stats.requests_shed_vf_quota, 0u);
-  EXPECT_EQ(stats.requests_shed_quota, 0u);
-  EXPECT_EQ(machine.lauberhorn_nic()->vf_stats(id).sheds_vf_quota,
-            stats.requests_shed_vf_quota);
+  EXPECT_GT(stats.sheds.vf_quota, 0u);
+  EXPECT_EQ(stats.sheds.quota, 0u);
+  EXPECT_EQ(machine.lauberhorn_nic()->vf_stats(id).sheds.vf_quota,
+            stats.sheds.vf_quota);
   // Shed requests never reached a handler.
   EXPECT_EQ(execs.size(), ok);
 
   MetricsRegistry metrics;
   machine.ExportMetrics(metrics);
   EXPECT_EQ(metrics.Counter("overload/sheds_vf_quota"),
-            stats.requests_shed_vf_quota);
+            stats.sheds.vf_quota);
   EXPECT_EQ(metrics.Counter("nic/vf" + std::to_string(id) + "/sheds_vf_quota"),
-            stats.requests_shed_vf_quota);
+            stats.sheds.vf_quota);
 }
 
 TEST(VfTest, DedupNamespacesIsolateTenants) {

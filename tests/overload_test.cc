@@ -262,21 +262,6 @@ class OverloadHarness {
   uint64_t ok_ = 0;
 };
 
-uint64_t TotalSheds(Machine& machine) {
-  switch (machine.config().stack) {
-    case StackKind::kLinux:
-      return machine.linux_stack()->sheds_total();
-    case StackKind::kBypass:
-      return machine.bypass()->sheds_total();
-    case StackKind::kLauberhorn: {
-      const auto& stats = machine.lauberhorn_nic()->stats();
-      return stats.requests_shed_queue + stats.requests_shed_quota +
-             stats.requests_shed_sojourn;
-    }
-  }
-  return 0;
-}
-
 MachineConfig OverloadedConfig(StackKind stack) {
   MachineConfig config;
   config.stack = stack;
@@ -303,7 +288,7 @@ TEST_P(OverloadE2eTest, DisabledByDefaultPreservesSeedBehavior) {
   ASSERT_FALSE(config.admission.enabled);
   OverloadHarness harness(config, /*service_time=*/Microseconds(1));
   harness.Flood(50, Microseconds(5));
-  EXPECT_EQ(TotalSheds(harness.machine()), 0u);
+  EXPECT_EQ(harness.machine().server_stats().sheds.total(), 0u);
   EXPECT_EQ(harness.machine().client().overloaded(), 0u);
   EXPECT_EQ(harness.ok(), harness.sent());
 }
@@ -313,7 +298,8 @@ TEST_P(OverloadE2eTest, QuotaShedsAnswerWithOverloadedReplies) {
   harness.Flood(300, Microseconds(1));
   Machine& m = harness.machine();
 
-  EXPECT_GT(TotalSheds(m), 0u);
+  const ShedCounts sheds = m.server_stats().sheds;
+  EXPECT_GT(sheds.total(), 0u);
   // Every shed is an explicit kOverloaded reply, never silence or an error:
   // the client can tell push-back from loss.
   EXPECT_GT(m.client().overloaded(), 0u);
@@ -327,18 +313,19 @@ TEST_P(OverloadE2eTest, QuotaShedsAnswerWithOverloadedReplies) {
   // The cost asymmetry that motivates NIC-side admission: Linux and bypass
   // burn host CPU to say "no" (decode + reply TX on a host core); the
   // Lauberhorn NIC sheds before any host core is disturbed.
-  switch (GetParam()) {
-    case StackKind::kLinux:
-      EXPECT_GT(m.linux_stack()->sheds_quota(), 0u);
-      EXPECT_GT(m.linux_stack()->shed_cpu_time(), 0);
-      break;
-    case StackKind::kBypass:
-      EXPECT_GT(m.bypass()->sheds_quota(), 0u);
-      EXPECT_GT(m.bypass()->shed_cpu_time(), 0);
-      break;
-    case StackKind::kLauberhorn:
-      EXPECT_GT(m.lauberhorn_nic()->stats().requests_shed_quota, 0u);
-      break;
+  EXPECT_GT(sheds.quota, 0u);
+  if (GetParam() == StackKind::kLauberhorn) {
+    EXPECT_EQ(sheds.cpu, 0);
+  } else {
+    EXPECT_GT(sheds.cpu, 0);
+  }
+  // The stack's own counters are the ones server_stats() reports.
+  if (GetParam() == StackKind::kLinux) {
+    EXPECT_EQ(m.linux_stack()->sheds().quota, sheds.quota);
+  } else if (GetParam() == StackKind::kBypass) {
+    EXPECT_EQ(m.bypass()->sheds().quota, sheds.quota);
+  } else {
+    EXPECT_EQ(m.lauberhorn_nic()->stats().sheds.quota, sheds.quota);
   }
 }
 
@@ -381,9 +368,9 @@ TEST(OverloadLauberhornTest, PerEndpointShedCountersSumToTotals) {
     sojourn += sheds.sojourn;
   }
   const auto& stats = m.lauberhorn_nic()->stats();
-  EXPECT_EQ(queue, stats.requests_shed_queue);
-  EXPECT_EQ(quota, stats.requests_shed_quota);
-  EXPECT_EQ(sojourn, stats.requests_shed_sojourn);
+  EXPECT_EQ(queue, stats.sheds.queue);
+  EXPECT_EQ(quota, stats.sheds.quota);
+  EXPECT_EQ(sojourn, stats.sheds.sojourn);
   EXPECT_GT(queue + quota + sojourn, 0u);
 }
 
@@ -395,7 +382,7 @@ TEST(OverloadLauberhornTest, QueueDepthLimitTripsQueueFullSheds) {
   config.admission.queue_depth_limit = 2;  // no quota: depth only
   OverloadHarness harness(std::move(config), /*service_time=*/Microseconds(20));
   harness.Flood(100, Microseconds(1));
-  EXPECT_GT(harness.machine().lauberhorn_nic()->stats().requests_shed_queue, 0u);
+  EXPECT_GT(harness.machine().lauberhorn_nic()->stats().sheds.queue, 0u);
   EXPECT_EQ(harness.machine().client().errors(), 0u);
 }
 
@@ -486,7 +473,8 @@ TEST_P(OverloadFaultComposeTest, ZeroDuplicateExecutionsWhileShedding) {
   // kOverloaded reply re-opens the id for a retransmit, but no id ever
   // executes twice.
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
-  EXPECT_GT(TotalSheds(m), 0u);
+  const ShedCounts sheds = m.server_stats().sheds;
+  EXPECT_GT(sheds.total(), 0u);
   EXPECT_GT(m.client().overloaded(), 0u);
   EXPECT_GT(harness.ok(), 0u);  // shedding degrades, it does not blackhole
 }
