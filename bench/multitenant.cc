@@ -49,7 +49,6 @@ struct TenantObs {
   uint64_t total_execs = 0;
   uint64_t sheds_vf_quota = 0;
   uint64_t rss_steered = 0;
-  uint64_t rss_fallbacks = 0;
   double p99_us = 0;
 };
 
@@ -171,7 +170,6 @@ CellResult RunCell(uint64_t seed, const double (&rates)[kTenants],
     const LauberhornNic::VfStats& vstats = nic.vf_stats(vfs[t]);
     obs.sheds_vf_quota = vstats.sheds.vf_quota;
     obs.rss_steered = vstats.rss_steered;
-    obs.rss_fallbacks = vstats.rss_fallbacks;
     obs.p99_us = ToMicroseconds(rtts[t].P99());
   }
   cell.host_dispatches = machine.lauberhorn_runtime()->rpcs_hot() +
@@ -327,7 +325,6 @@ int main(int argc, char** argv) {
         .Field("surge_overloaded", surge.tenants[t].overloaded)
         .Field("surge_sheds_vf_quota", surge.tenants[t].sheds_vf_quota)
         .Field("rss_steered", surge.tenants[t].rss_steered)
-        .Field("rss_fallbacks", surge.tenants[t].rss_fallbacks)
         .Field("duplicate_executions", surge.tenants[t].dup_execs);
     json_rows.push_back(row.Render());
   }

@@ -490,7 +490,6 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
       metrics.SetCounter(prefix + base + "sheds_sojourn", v.sheds.sojourn);
       metrics.SetCounter(prefix + base + "sheds_vf_quota", v.sheds.vf_quota);
       metrics.SetCounter(prefix + base + "rss_steered", v.rss_steered);
-      metrics.SetCounter(prefix + base + "rss_fallbacks", v.rss_fallbacks);
       metrics.SetCounter(prefix + base + "endpoints", v.endpoints);
     }
   }

@@ -96,7 +96,7 @@ ColdChecker::SuccessorFn ColdPathSuccessors(ColdSpecConfig config) {
         n.req[static_cast<size_t>(i)] = ColdState::kResponded;
         n.dispatcher = ColdState::kIdle;
         if (!config.bug_no_rearm_after_handle && AnyQueued(n, config.num_requests)) {
-          // MaybeRestartCold / the policy tick re-signals while work remains.
+          // SoftwareTransmit re-signals while cold work remains queued.
           n.wake_pending = true;
         }
         Push(out, "HandleDone(" + std::to_string(i) + ")", n);

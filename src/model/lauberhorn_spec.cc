@@ -136,7 +136,7 @@ ProtoChecker::SuccessorFn LauberhornSuccessors(SpecConfig config) {
     }
 
     // -- Cold-path rescue: after retirement the kernel channel handles what
-    //    remains queued (MaybeRestartCold in the implementation) -------------
+    //    remains queued (HandBack in the implementation) ---------------------
     if (s.cpu == ProtoState::kCpuRetired) {
       for (int i = 0; i < config.num_requests; ++i) {
         if (s.req[static_cast<size_t>(i)] == ProtoState::kInNicQueue) {

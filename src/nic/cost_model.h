@@ -56,13 +56,9 @@ struct LauberhornParams {
   size_t dma_fallback_bytes = 4096;
   // Bound on NIC-side queued requests per endpoint before drops.
   size_t endpoint_queue_depth = 256;
-  // Bound on the shared cold (kernel-channel spillover) queue: past this the
+  // Bound on the shared cold (kernel-channel) queue: past this the
   // NIC sheds with kOverloaded instead of queueing without bound.
   size_t cold_queue_depth = 4096;
-  // Demux spillover (§5.2 dynamic scaling): when a service's least-loaded
-  // active endpoint has this many requests queued, route to an inactive
-  // endpoint instead, recruiting another core via the cold path.
-  size_t spillover_queue_depth = 4;
   // Graceful degradation: a TRYAGAIN that fires while requests are queued
   // means the hot path is not delivering. After this many in a row the NIC
   // demotes the endpoint to the cold (kernel-channel) path...

@@ -4,8 +4,6 @@ namespace lauberhorn {
 
 const char* ToString(DispatchPolicyKind kind) {
   switch (kind) {
-    case DispatchPolicyKind::kLegacy:
-      return "legacy";
     case DispatchPolicyKind::kDFcfs:
       return "d-fcfs";
     case DispatchPolicyKind::kCFcfs:
@@ -18,7 +16,6 @@ const char* ToString(DispatchPolicyKind kind) {
 
 std::optional<DispatchPolicyKind> ParseDispatchPolicyKind(
     const std::string& name) {
-  if (name == "legacy") return DispatchPolicyKind::kLegacy;
   if (name == "d-fcfs" || name == "dfcfs") return DispatchPolicyKind::kDFcfs;
   if (name == "c-fcfs" || name == "cfcfs") return DispatchPolicyKind::kCFcfs;
   if (name == "jbsq") return DispatchPolicyKind::kJbsq;

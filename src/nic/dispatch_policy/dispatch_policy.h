@@ -2,8 +2,9 @@
 //
 // The nanoPU result (PAPERS.md): once service times are dispersed, the
 // *discipline* used to hand requests to cores — not just where dispatch
-// runs — dominates RPC tail latency. This header defines the pluggable
-// policy a service selects and the counters each policy maintains:
+// runs — dominates RPC tail latency. This header defines the policy a
+// service selects (JBSQ(2) unless it names another) and the counters each
+// policy maintains:
 //
 //  * d-FCFS  — decentralized FCFS. The RSS hash pins each flow to one
 //    endpoint/core; every endpoint owns a private queue and requests never
@@ -17,10 +18,11 @@
 //    k resident requests per core (outstanding + local queue); credits are
 //    replenished when a response is collected. Approximates c-FCFS tails
 //    while giving each core a short private runway that hides the
-//    NIC-to-core dispatch latency.
-//  * legacy  — the pre-policy heuristic (stalled-core first, then
-//    least-loaded, spillover recruits a new core). Default, so existing
-//    callers keep their exact behavior.
+//    NIC-to-core dispatch latency. The default.
+//
+// The central disciplines also recruit cores (§5.2): once the central queue
+// holds a full runway for every member with a core, a request for a member
+// without one takes the kernel path, which lets the runtime promote it.
 //
 // This header is deliberately free of NIC dependencies so that
 // src/proto/service.h (which the NIC itself depends on) can embed a
@@ -35,18 +37,16 @@
 namespace lauberhorn {
 
 enum class DispatchPolicyKind : uint8_t {
-  kLegacy = 0,  // stalled-core-first + least-loaded + spillover (pre-§18)
-  kDFcfs = 1,   // per-core queues, pure RSS affinity, no migration
-  kCFcfs = 2,   // single NIC-side central queue, pull on CONTROL stall
-  kJbsq = 3,    // central queue + at most k resident per core
+  kDFcfs = 1,  // per-core queues, pure RSS affinity, no migration
+  kCFcfs = 2,  // single NIC-side central queue, pull on CONTROL stall
+  kJbsq = 3,   // central queue + at most k resident per core
 };
 
-// Per-service policy selection, embedded in ServiceDef (and optionally as a
-// per-VF default in LauberhornNic::VfConfig). Control-plane state: it lives
-// in the OS's service registry, so it survives a NIC crash and shadow
-// replay re-derives the same queues.
+// Per-service policy selection, embedded in ServiceDef. Control-plane
+// state: it lives in the OS's service registry, so it survives a NIC crash
+// and shadow replay re-derives the same queues.
 struct DispatchPolicyConfig {
-  DispatchPolicyKind kind = DispatchPolicyKind::kLegacy;
+  DispatchPolicyKind kind = DispatchPolicyKind::kJbsq;
   // JBSQ bound: max requests resident at one core (the in-flight request
   // plus its local runway). k=1 degenerates to c-FCFS with an extra hop;
   // k→∞ degenerates to unbounded push. 2 is the nanoPU sweet spot.

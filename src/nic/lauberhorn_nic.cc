@@ -354,8 +354,7 @@ void LauberhornNic::DeactivateEndpoint(uint32_t endpoint) {
     Endpoint& ep = endpoints_[endpoint];
     ep.active = false;
     ep.active_core = -1;
-    ReturnLocalQueue(ep);
-    MaybeRestartCold(ep);
+    HandBack(ep);
   });
 }
 
@@ -377,8 +376,7 @@ void LauberhornNic::RequestRetire(uint32_t endpoint) {
       FillWaiting(ep, LineKind::kRetire);
       ep.active = false;
       ep.active_core = -1;
-      ReturnLocalQueue(ep);
-      MaybeRestartCold(ep);
+      HandBack(ep);
     } else {
       ep.retire_requested = true;
     }
@@ -394,15 +392,13 @@ void LauberhornNic::SoftwareTransmit(uint64_t request_id, RpcMessage response) {
                   if (it == cold_inflight_.end()) {
                     return;  // duplicate or unknown; drop
                   }
-                  PreparedRequest meta = std::move(it->second);
+                  OutstandingRequest done = std::move(it->second);
                   cold_inflight_.erase(it);
-                  // The cold dispatch is complete. If the runtime did not (or
-                  // could not) enter the user loop, drain any queued work for
-                  // this endpoint through the cold path again.
-                  Endpoint& ep = endpoints_[meta.endpoint];
+                  core_stats_[done.core].busy_time += sim_.Now() - done.delivered_at;
+                  Endpoint& ep = endpoints_[done.request.endpoint];
                   ep.cold_dispatch_inflight = false;
-                  TransmitResponse(meta, std::move(response));
-                  MaybeRestartCold(ep);
+                  TransmitResponse(done.request, std::move(response));
+                  ContinueCold(ep);
                 });
 }
 
@@ -589,118 +585,79 @@ uint32_t LauberhornNic::PickEndpoint(const std::vector<uint32_t>& candidates,
   if (candidates.size() == 1) {
     return candidates[0];
   }
-  const Endpoint& first = endpoints_[candidates[0]];
-  if (!first.is_continuation && !first.is_kernel) {
-    const DispatchPolicyConfig policy = EnsureGroup(first).config;
-    if (policy.kind != DispatchPolicyKind::kLegacy) {
-      // d-FCFS (§18): the hash *is* the discipline — one flow, one core, no
-      // migration and no saturation fallback; head-of-line blocking behind
-      // a long request is exactly the behavior under measurement. Central
-      // disciplines hash too, but only to attribute the arrival (EWMA,
-      // admission): real placement happens at dispatch time.
-      const uint32_t hash = ToeplitzHash4Tuple(config_.rss_key, ip.src, ip.dst,
-                                               udp.src_port, udp.dst_port);
-      const uint32_t chosen = candidates[hash % candidates.size()];
-      const uint32_t vf = endpoints_[chosen].vf;
-      if (vf != 0) {
-        ++vfs_[vf].stats.rss_steered;
-      }
-      return chosen;
-    }
-  }
-  // Tenant slice (§17): Toeplitz RSS over the flow's 4-tuple picks the
-  // polling core — one flow keeps cache/core affinity while the tenant's
-  // flows spread across its slice. Fall back to the legacy picker when the
-  // hashed endpoint cannot absorb the request (degraded, or queue already at
-  // the spillover threshold): isolation must not cost availability inside
-  // the slice.
-  const uint32_t vf = endpoints_[candidates[0]].vf;
+  // Toeplitz RSS over the flow's 4-tuple: one flow keeps its endpoint, and a
+  // tenant's flows spread across its slice (§17).
+  const uint32_t hash = ToeplitzHash4Tuple(config_.rss_key, ip.src, ip.dst,
+                                           udp.src_port, udp.dst_port);
+  const uint32_t chosen = candidates[hash % candidates.size()];
+  const uint32_t vf = endpoints_[chosen].vf;
   if (vf != 0) {
-    const uint32_t hash = ToeplitzHash4Tuple(config_.rss_key, ip.src, ip.dst,
-                                             udp.src_port, udp.dst_port);
-    const uint32_t chosen = candidates[hash % candidates.size()];
-    const Endpoint& ep = endpoints_[chosen];
-    const bool saturated = ep.degraded_until > sim_.Now() ||
-                           ep.pending.size() >= config_.params.spillover_queue_depth;
-    if (!saturated) {
-      ++vfs_[vf].stats.rss_steered;
-      return chosen;
-    }
-    ++vfs_[vf].stats.rss_fallbacks;
+    ++vfs_[vf].stats.rss_steered;
   }
-  // PF / fallback: prefer a stalled core (zero-latency dispatch), then the
-  // active endpoint with the shortest NIC-side queue. If even that queue is
-  // deep, spill to an inactive endpoint — the cold path recruits another
-  // core (§5.2's dynamic scaling, driven by the NIC's own load statistics).
-  // Every scan breaks ties by the smallest endpoint id: the candidate list
-  // is rebuilt in replay order after a NIC crash, and a first-seen winner
-  // would make pre- and post-replay runs diverge (bit-identical PDES
-  // comparisons depend on the pick being a pure function of endpoint state).
-  uint32_t parked = UINT32_MAX;
-  for (uint32_t id : candidates) {
-    if (endpoints_[id].waiting.has_value() && id < parked) {
-      parked = id;
-    }
-  }
-  if (parked != UINT32_MAX) {
-    return parked;
-  }
-  uint32_t best = UINT32_MAX;
-  size_t best_depth = SIZE_MAX;
-  for (uint32_t id : candidates) {
-    const Endpoint& ep = endpoints_[id];
-    if ((ep.active || ep.cold_dispatch_inflight) &&
-        (ep.pending.size() < best_depth ||
-         (ep.pending.size() == best_depth && id < best))) {
-      best = id;
-      best_depth = ep.pending.size();
-    }
-  }
-  if (best != UINT32_MAX && best_depth >= config_.params.spillover_queue_depth) {
-    uint32_t recruit = UINT32_MAX;
-    for (uint32_t id : candidates) {
-      const Endpoint& ep = endpoints_[id];
-      if (!ep.active && !ep.cold_dispatch_inflight && id < recruit) {
-        recruit = id;
-      }
-    }
-    if (recruit != UINT32_MAX) {
-      return recruit;  // recruit another core
-    }
-  }
-  if (best != UINT32_MAX) {
-    return best;
-  }
-  return candidates[0];
+  return chosen;
 }
 
-void LauberhornNic::MaybeRestartCold(Endpoint& ep) {
-  if (!ep.active && !ep.cold_dispatch_inflight && !ep.pending.empty()) {
+void LauberhornNic::HandBack(Endpoint& ep) {
+  DispatchGroup* group = ep.in_use ? CentralGroup(ep) : nullptr;
+  if (group != nullptr) {
+    // The unspent runway goes back to the *front* of the central queue in
+    // its original order: it is older than anything queued behind it, and
+    // FCFS across the group is the discipline's whole contract.
+    group->stats.returned_on_retire += ep.pending.size();
+    while (!ep.pending.empty()) {
+      group->central.push_front(std::move(ep.pending.back()));
+      ep.pending.pop_back();
+    }
+  }
+  // d-FCFS: the whole private queue takes the kernel path at once, where the
+  // dispatchers serve it in parallel. One request per completed cold
+  // dispatch would leave the rest waiting on a loop restart that the scale
+  // cooldown or the loop cap may withhold.
+  std::deque<PreparedRequest> backlog = std::move(ep.pending);
+  ep.pending.clear();
+  for (PreparedRequest& request : backlog) {
+    RouteCold(std::move(request));
+  }
+  // No member left to poll (all retired or degraded): the central queue
+  // drains through the kernel path instead of stranding.
+  if (group != nullptr && !AnyUsable(Members(ep.service_id))) {
+    while (!group->central.empty()) {
+      RouteCold(TakeCentralHead(*group, nullptr, group->stats.drained_cold));
+    }
+  }
+}
+
+void LauberhornNic::ContinueCold(Endpoint& ep) {
+  if (ep.active) {
+    return;  // the loop entered: it serves the rest hot
+  }
+  // Fig. 5 (1): the runtime may be promoting ep to a loop right now. Keep
+  // the kernel path busy with the next request only, so a loop that enters
+  // finds the rest still queued and serves it hot.
+  if (!ep.pending.empty()) {
     PreparedRequest request = std::move(ep.pending.front());
     ep.pending.pop_front();
     RouteCold(std::move(request));
+    return;
   }
-  // Central disciplines: if this endpoint was the group's last usable
-  // core, the central queue must drain through the kernel path now.
-  MaybeDrainCentral(ep);
+  // Central disciplines: a coreless member keeps taking overflow past the
+  // spill threshold (which is 0 once no member holds a core).
+  DispatchGroup* group = ep.in_use ? CentralGroup(ep) : nullptr;
+  if (group != nullptr && !group->central.empty() &&
+      group->central.size() >= SpillThreshold(*group, ep.service_id)) {
+    RouteCold(TakeCentralHead(*group, &ep, group->stats.drained_cold));
+  }
 }
 
 // -- Dispatch disciplines (§18) -------------------------------------------------
 
 LauberhornNic::DispatchGroup& LauberhornNic::EnsureGroup(const Endpoint& ep) {
-  auto it = groups_.find(ep.service_id);
-  if (it != groups_.end()) {
-    return it->second;
+  auto [it, inserted] = groups_.try_emplace(ep.service_id);
+  const ServiceDef* service = inserted ? services_.Find(ep.service_id) : nullptr;
+  if (service != nullptr) {
+    it->second.config = service->dispatch;
   }
-  DispatchGroup group;
-  const ServiceDef* service = services_.Find(ep.service_id);
-  if (service != nullptr &&
-      service->dispatch.kind != DispatchPolicyKind::kLegacy) {
-    group.config = service->dispatch;
-  } else if (ep.vf != 0 && vfs_[ep.vf].config.dispatch.has_value()) {
-    group.config = *vfs_[ep.vf].config.dispatch;
-  }
-  return groups_.emplace(ep.service_id, std::move(group)).first->second;
+  return it->second;
 }
 
 const LauberhornNic::DispatchGroup* LauberhornNic::CentralGroup(
@@ -733,13 +690,24 @@ bool LauberhornNic::AnyUsable(const std::vector<uint32_t>& members) const {
   });
 }
 
+size_t LauberhornNic::SpillThreshold(const DispatchGroup& group,
+                                     uint32_t service_id) const {
+  const size_t runway =
+      group.config.kind == DispatchPolicyKind::kJbsq ? group.config.jbsq_k : 1;
+  const std::vector<uint32_t>& members = Members(service_id);
+  return runway * static_cast<size_t>(std::count_if(
+                      members.begin(), members.end(), [this](uint32_t id) {
+                        return HoldsCore(endpoints_[id]);
+                      }));
+}
+
 LauberhornNic::Placement LauberhornNic::Place(Endpoint& ep,
-                                              const DispatchGroup* group) {
+                                              const DispatchGroup& group) {
   const SimTime now = sim_.Now();
   const size_t base = config_.params.endpoint_queue_depth;
-  if (group == nullptr || !IsCentral(group->config)) {
-    // Per-endpoint disciplines (legacy, d-FCFS): the demuxed endpoint is the
-    // placement; its state picks the path.
+  if (!IsCentral(group.config)) {
+    // d-FCFS: the demuxed endpoint is the placement; its state picks the
+    // path.
     if (ep.degraded_until > now) {
       // Demoted: the hot path was not making progress, so bypass it entirely
       // and let the kernel channels carry this request.
@@ -774,7 +742,7 @@ LauberhornNic::Placement LauberhornNic::Place(Endpoint& ep,
   }
   // JBSQ(k): a busy core with spare credit takes the request onto its
   // private runway — fewest resident requests wins, ties to the lowest id.
-  if (group->config.kind == DispatchPolicyKind::kJbsq) {
+  if (group.config.kind == DispatchPolicyKind::kJbsq) {
     uint32_t best = UINT32_MAX;
     size_t best_resident = SIZE_MAX;
     for (uint32_t id : members) {
@@ -784,7 +752,7 @@ LauberhornNic::Placement LauberhornNic::Place(Endpoint& ep,
         continue;
       }
       const size_t resident = Resident(member);
-      if (resident < group->config.jbsq_k &&
+      if (resident < group.config.jbsq_k &&
           (resident < best_resident ||
            (resident == best_resident && id < best))) {
         best = id;
@@ -797,9 +765,29 @@ LauberhornNic::Placement LauberhornNic::Place(Endpoint& ep,
               EffectiveDepthLimit(target, base)};
     }
   }
+  // Spill (§5.2): once the central queue holds a full runway for every
+  // member with a core, a member without one (lowest id) takes the request
+  // through the kernel path, whose completion lets the runtime promote it.
+  uint32_t coreless = UINT32_MAX;
+  for (uint32_t id : members) {
+    const Endpoint& member = endpoints_[id];
+    if (!HoldsCore(member) && member.degraded_until <= now && id < coreless) {
+      coreless = id;
+    }
+  }
+  if (coreless != UINT32_MAX &&
+      group.central.size() >= SpillThreshold(group, ep.service_id)) {
+    return {Placement::Kind::kCold, &endpoints_[coreless]};
+  }
   // Central queue, as long as someone in the group holds (or is acquiring)
-  // a core. Nobody attached → cold, which recruits one via the kernel path.
+  // a core. Nobody attached → cold, counted as degraded when a demoted
+  // member is why.
   if (!AnyUsable(members)) {
+    if (std::any_of(members.begin(), members.end(), [this, now](uint32_t id) {
+          return endpoints_[id].degraded_until > now;
+        })) {
+      ++stats_.degraded_dispatches;
+    }
     return {Placement::Kind::kCold, &ep};
   }
   // The shared queue absorbs what the per-endpoint queues would have held
@@ -809,11 +797,9 @@ LauberhornNic::Placement LauberhornNic::Place(Endpoint& ep,
 }
 
 void LauberhornNic::Retarget(PreparedRequest& request, const Endpoint& target,
-                             DispatchPolicyStats* counters) {
+                             DispatchPolicyStats& counters) {
   if (request.endpoint != target.id) {
-    if (counters != nullptr) {
-      ++counters->retargets;
-    }
+    ++counters.retargets;
     request.endpoint = target.id;
   }
 }
@@ -823,7 +809,7 @@ LauberhornNic::PreparedRequest LauberhornNic::TakeCentralHead(
   PreparedRequest request = std::move(group.central.front());
   group.central.pop_front();
   if (target != nullptr) {
-    Retarget(request, *target, &group.stats);
+    Retarget(request, *target, group.stats);
   }
   ++counter;
   return request;
@@ -838,34 +824,6 @@ void LauberhornNic::ReplenishJbsq(Endpoint& ep) {
   while (Resident(ep) < group->config.jbsq_k && !group->central.empty()) {
     ep.pending.push_back(
         TakeCentralHead(*group, &ep, group->stats.jbsq_replenished));
-  }
-}
-
-void LauberhornNic::ReturnLocalQueue(Endpoint& ep) {
-  DispatchGroup* group = ep.pending.empty() ? nullptr : CentralGroup(ep);
-  if (group == nullptr) {
-    return;
-  }
-  // The unspent credits go back to the *front* of the central queue in
-  // their original order: they are older than anything queued behind them,
-  // and FCFS across the group is the discipline's whole contract.
-  group->stats.returned_on_retire += ep.pending.size();
-  while (!ep.pending.empty()) {
-    group->central.push_front(std::move(ep.pending.back()));
-    ep.pending.pop_back();
-  }
-}
-
-void LauberhornNic::MaybeDrainCentral(Endpoint& ep) {
-  DispatchGroup* group = ep.in_use ? CentralGroup(ep) : nullptr;
-  if (group == nullptr || group->central.empty() ||
-      AnyUsable(Members(ep.service_id))) {
-    return;  // nothing queued, or a live core will poll and pull it
-  }
-  // Every member retired or degraded: the central queue would strand behind
-  // cores that will never poll again. Drain it through the kernel path.
-  while (!group->central.empty()) {
-    RouteCold(TakeCentralHead(*group, nullptr, group->stats.drained_cold));
   }
 }
 
@@ -891,12 +849,7 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
     }
     return;
   }
-  DispatchGroup* group = ep.is_kernel ? nullptr : &EnsureGroup(ep);
-  // Legacy services keep no per-discipline counters.
-  DispatchPolicyStats* counters =
-      group != nullptr && group->config.kind != DispatchPolicyKind::kLegacy
-          ? &group->stats
-          : nullptr;
+  DispatchGroup& group = EnsureGroup(ep);
   const Placement placement = Place(ep, group);
   Endpoint& target = *placement.target;
   if (placement.kind == Placement::Kind::kCold) {
@@ -904,13 +857,14 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
     // sojourn targets, VF endpoints included.
     if (Admitted(target, request, cold_queue_, cold_sojourn_,
                  config_.admission.sojourn)) {
+      Retarget(request, target, group.stats);
       RouteCold(std::move(request));
     }
     return;
   }
   const bool hot = placement.kind == Placement::Kind::kHot;
   const bool central = placement.kind == Placement::Kind::kCentral;
-  std::deque<PreparedRequest>& queue = central ? group->central : target.pending;
+  std::deque<PreparedRequest>& queue = central ? group.central : target.pending;
   if (hot) {
     // The overload gates never fire here — a parked core means the system
     // has headroom — but the tenant's rate contract still binds: a VF whose
@@ -933,17 +887,15 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
                                        ? vf_admission.sojourn
                                        : config_.admission.sojourn;
     if (!Admitted(target, request, queue,
-                  central ? group->sojourn : target.sojourn_gate, sojourn)) {
+                  central ? group.sojourn : target.sojourn_gate, sojourn)) {
       return;
     }
   }
-  Retarget(request, target, counters);
+  Retarget(request, target, group.stats);
   ++(hot ? stats_.hot_dispatches : stats_.queued_dispatches);
-  if (counters != nullptr) {
-    ++(hot       ? counters->hot_dispatches
-       : central ? counters->central_queued
-                 : counters->local_queued);
-  }
+  ++(hot       ? group.stats.hot_dispatches
+     : central ? group.stats.central_queued
+               : group.stats.local_queued);
   const SimTime now = sim_.Now();
   trace_.Emit(now, hot ? TraceEvent::kDispatchHot : TraceEvent::kDispatchQueued,
               target.id, static_cast<uint32_t>(request.request_id));
@@ -1040,9 +992,6 @@ void LauberhornNic::Shed(Endpoint& ep, const PreparedRequest& request,
   stats_.sheds.Count(reason);
   ep.sheds.Count(reason);
   vfs_[ep.vf].stats.sheds.Count(reason);
-  if (reason == ShedReason::kQueueFull) {
-    ++stats_.drops_queue_full;
-  }
   trace_.Emit(sim_.Now(), TraceEvent::kDrop, ep.id,
               static_cast<uint32_t>(reason));
   // TransmitResponse aborts the dedup entry on kOverloaded, so a later
@@ -1104,7 +1053,7 @@ void LauberhornNic::RouteCold(PreparedRequest request) {
       return;
     }
   }
-  // The shared spillover queue is bounded: past the limit the NIC sheds
+  // The shared cold queue is bounded: past the limit the NIC sheds
   // rather than queueing without bound (the cold path is already the slow
   // path; unbounded growth just manufactures timeouts). The admission depth
   // limit applies here too — a request admitted into a long cold queue still
@@ -1249,7 +1198,12 @@ void LauberhornNic::DeliverToKernelChannel(Endpoint& channel, PreparedRequest re
   const uint64_t request_id = request.request_id;
   const uint64_t dma_iova = dispatch.data_ptr;
   std::vector<uint8_t> args = request.args;
-  cold_inflight_[request_id] = std::move(request);
+  // The dispatcher's core is occupied until SoftwareTransmit: kernel-path
+  // deliveries count in the per-core occupancy like hot ones.
+  const int core = static_cast<int>(waiting.requester);
+  ++core_stats_[core].dispatches;
+  cold_inflight_[request_id] =
+      OutstandingRequest{waiting.parity, std::move(request), sim_.Now(), core};
 
   if (dispatch.via_dma) {
     ++stats_.dma_fallback_rx;
@@ -1320,19 +1274,10 @@ void LauberhornNic::DegradeEndpoint(Endpoint& ep) {
   trace_.Emit(sim_.Now(), TraceEvent::kDegrade, ep.id, ep.tryagain_streak);
   ep.tryagain_streak = 0;
   ++stats_.degradations;
-  // Central disciplines: hand the local runway back to healthy group
-  // members first (degraded_until is already set, so this endpoint no
-  // longer counts as usable). Whatever remains drains via the kernel path.
-  ReturnLocalQueue(ep);
-  // Drain the backlog through the kernel path so requests stop waiting on a
-  // hot path that is not progressing. New arrivals follow via the
-  // degraded_until check in DispatchPrepared until the backoff expires.
-  std::deque<PreparedRequest> backlog = std::move(ep.pending);
-  ep.pending.clear();
-  for (PreparedRequest& request : backlog) {
-    RouteCold(std::move(request));
-  }
-  MaybeDrainCentral(ep);
+  // degraded_until is already set, so this endpoint no longer counts as
+  // usable: its backlog stops waiting on a hot path that is not progressing.
+  // New arrivals follow via Place's degraded checks until the backoff ends.
+  HandBack(ep);
 }
 
 // -- Coherence-side (home agent) --------------------------------------------------
@@ -1381,10 +1326,7 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
     FillWaiting(ep, LineKind::kRetire);
     ep.active = false;
     ep.active_core = -1;
-    // A retired core must not keep requests hostage: unspent JBSQ / c-FCFS
-    // credits go back to the central queue for the surviving cores.
-    ReturnLocalQueue(ep);
-    MaybeRestartCold(ep);
+    HandBack(ep);  // a retired core must not keep requests hostage
     return;
   }
   // The NIC can infer from the load that this core is polling here (§4).
@@ -1705,7 +1647,7 @@ std::string LauberhornNic::DebugReport() {
                 static_cast<unsigned long long>(stats_.responses_sent),
                 static_cast<unsigned long long>(
                     stats_.drops_bad_frame + stats_.drops_no_endpoint +
-                    stats_.drops_bad_args + stats_.drops_queue_full));
+                    stats_.drops_bad_args + stats_.sheds.queue));
   out += line;
   std::snprintf(line, sizeof(line),
                 "  sheds: queue=%llu quota=%llu sojourn=%llu vf_quota=%llu\n",
@@ -1718,14 +1660,13 @@ std::string LauberhornNic::DebugReport() {
     const VfState& state = vfs_[vf];
     std::snprintf(line, sizeof(line),
                   "  vf=%zu name=%s endpoints=%llu rx=%llu tx=%llu "
-                  "vf_quota_sheds=%llu rss=%llu/%llu\n",
+                  "vf_quota_sheds=%llu rss=%llu\n",
                   vf, state.config.name.c_str(),
                   static_cast<unsigned long long>(state.stats.endpoints),
                   static_cast<unsigned long long>(state.stats.rx_requests),
                   static_cast<unsigned long long>(state.stats.responses),
                   static_cast<unsigned long long>(state.stats.sheds.vf_quota),
-                  static_cast<unsigned long long>(state.stats.rss_steered),
-                  static_cast<unsigned long long>(state.stats.rss_fallbacks));
+                  static_cast<unsigned long long>(state.stats.rss_steered));
     out += line;
   }
   return out;

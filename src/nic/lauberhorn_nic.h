@@ -122,7 +122,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // -- SR-IOV-style virtualization (§17) -----------------------------------
   // VF 0 is the physical function (PF): the device-wide trust domain every
   // pre-existing caller lives in (unlimited endpoint slice, device-wide
-  // admission, legacy demux). CreateVf carves a virtual function with its
+  // admission). CreateVf carves a virtual function with its
   // own endpoint-table slice cap, its own AdmissionConfig (token-bucket
   // quota + sojourn gate enforced on the NIC before any host work), a
   // private dedup namespace (the VF id is folded into every dedup flow key,
@@ -132,17 +132,12 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     std::string name;           // tenant label (metrics/debug only)
     AdmissionConfig admission;  // per-VF gate, on top of the per-service one
     size_t endpoint_limit = 0;  // max service endpoints owned; 0 = unlimited
-    // Tenant-default dispatch discipline (§18): applied to the VF's services
-    // whose ServiceDef leaves the policy at kLegacy. A non-legacy ServiceDef
-    // setting always wins (the service owner knows its workload best).
-    std::optional<DispatchPolicyConfig> dispatch;
   };
   struct VfStats {
     uint64_t rx_requests = 0;      // requests demuxed into this VF
     uint64_t responses = 0;        // responses transmitted for this VF
     ShedCounts sheds;              // sheds inside the VF slice
     uint64_t rss_steered = 0;      // demux decided by the Toeplitz hash
-    uint64_t rss_fallbacks = 0;    // hashed endpoint unusable: legacy picker
     uint64_t endpoints = 0;        // service endpoints currently owned
   };
 
@@ -153,7 +148,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     uint64_t cold_queued = 0;        // waiting for a dispatcher to arrive
     uint64_t tryagains = 0;
     uint64_t retires = 0;
-    uint64_t drops_queue_full = 0;
     uint64_t drops_bad_frame = 0;
     uint64_t drops_no_endpoint = 0;
     uint64_t drops_bad_args = 0;
@@ -341,17 +335,16 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Depth of the service's central queue alone (0 for per-endpoint
   // disciplines, which never populate it).
   size_t CentralQueueDepth(uint32_t service_id) const;
-  // Resolved discipline for a service (ServiceDef wins, then the owning
-  // VF's default, then legacy).
+  // Resolved discipline for a service (its ServiceDef's).
   DispatchPolicyConfig ServicePolicy(uint32_t service_id);
   // Per-policy counters summed over the services running each discipline,
   // exported as dispatch/<policy>/*. A discipline appears once some service
-  // resolved to it (its first request, or a ServicePolicy call); legacy
-  // services keep no counters, so dispatch/legacy/* reads zero.
+  // resolved to it (its first request, or a ServicePolicy call).
   std::vector<std::pair<DispatchPolicyKind, DispatchPolicyStats>>
   PolicyStatsSnapshot() const;
-  // Per-core occupancy (§18 satellite): dispatches delivered to the core,
-  // handler-busy nanoseconds, and the instantaneous depth of the private
+  // Per-core occupancy (§18 satellite): dispatches delivered to the core
+  // (hot, or through a kernel channel polled there), handler-busy
+  // nanoseconds, and the instantaneous depth of the private
   // queues owned by endpoints the core is polling. Keyed by core id;
   // ordered, so metric export is deterministic.
   struct CoreOccupancy {
@@ -448,7 +441,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   };
 
   // Per-service dispatch-discipline state (§18). The config is resolved once,
-  // on the service's first use, from the OS's ServiceDef / VfConfig. CrashNow
+  // on the service's first use, from the OS's ServiceDef. CrashNow
   // keeps it (replay restores those inputs unchanged) and wipes only the
   // central queue and its gate. Counters persist across resets like stats_.
   struct DispatchGroup {
@@ -481,7 +474,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Places a prepared request (Place) and runs that placement's one tail:
   // hot = VF quota, count, stamp, deliver; private / central = depth limit,
   // Admitted, count, stamp, enqueue; cold = Admitted over the cold queue,
-  // then RouteCold.
+  // retarget, then RouteCold.
   void DispatchPrepared(PreparedRequest request);
   void RouteCold(PreparedRequest request);
   // Sheds `request` with a NIC-generated kOverloaded reply: bumps the global
@@ -510,12 +503,10 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // 48-bit (src ip, src port) flow key, so tenants can never collide.
   uint64_t VfFlowKey(uint32_t endpoint, uint32_t src_ip,
                      uint16_t src_port) const;
-  // Demux: choose which of a service's endpoints receives this request.
-  // Inside a VF (slice endpoints share one vf id per service) the Toeplitz
-  // hash of the 4-tuple picks the core, keeping flow affinity; the PF keeps
-  // the legacy stalled-core-first heuristic. d-FCFS forces the pure hash
-  // (no migration); central disciplines also hash, but only for arrival
-  // attribution — the real placement happens at dispatch time.
+  // Demux: the one candidate, or the Toeplitz hash of the 4-tuple. Under
+  // d-FCFS the hash is the placement (one flow, one core, no migration);
+  // central disciplines hash only to attribute the arrival (EWMA,
+  // admission) — the real placement happens at dispatch time.
   uint32_t PickEndpoint(const std::vector<uint32_t>& candidates,
                         const Ipv4Header& ip, const UdpHeader& udp);
   // -- Dispatch disciplines (§18) ------------------------------------------
@@ -532,14 +523,14 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     Endpoint* target = nullptr;  // takes the request, or is charged for it
     size_t depth_limit = 0;      // kPrivate / kCentral: the queue's bound
   };
-  // Per-endpoint disciplines (legacy, d-FCFS, kernel channels) place on the
-  // demuxed endpoint by its state. c-FCFS / JBSQ try, in order: a parked
-  // member (hot), a JBSQ member with spare credit (its runway), the central
-  // queue while any member is usable, else cold (which recruits a core).
+  // d-FCFS places on the demuxed endpoint by its state. c-FCFS / JBSQ try,
+  // in order: a parked member (hot), a JBSQ member with spare credit (its
+  // runway), cold on a coreless member once the central queue holds a full
+  // runway for every member with a core (the spill that recruits a core,
+  // §5.2), the central queue while any member is usable, else cold.
   // Counts degraded_dispatches; otherwise free of side effects.
-  Placement Place(Endpoint& ep, const DispatchGroup* group);
-  // Lazily resolves the group for ep's service: ServiceDef.dispatch wins,
-  // then the owning VF's default, then legacy.
+  Placement Place(Endpoint& ep, const DispatchGroup& group);
+  // Lazily resolves the group for ep's service from its ServiceDef.
   DispatchGroup& EnsureGroup(const Endpoint& ep);
   // A discipline that routes through the central queue.
   static bool IsCentral(const DispatchPolicyConfig& config) {
@@ -560,9 +551,18 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   static size_t Resident(const Endpoint& ep) {
     return (ep.outstanding.has_value() ? 1 : 0) + ep.pending.size();
   }
+  // A member holds a core while it is in (or entering) its loop, or while a
+  // kernel dispatcher serves its request.
+  static bool HoldsCore(const Endpoint& ep) {
+    return ep.active || ep.cold_dispatch_inflight;
+  }
+  // Central-queue depth past which a coreless member takes overflow through
+  // the kernel path (§5.2): a full runway — k under JBSQ, the one in-flight
+  // request under c-FCFS — for every member that holds a core.
+  size_t SpillThreshold(const DispatchGroup& group, uint32_t service_id) const;
   // Points the request at `target`, counting a retarget when it moves.
   static void Retarget(PreparedRequest& request, const Endpoint& target,
-                       DispatchPolicyStats* counters);
+                       DispatchPolicyStats& counters);
   // Pops the central head, retargets it to `target` (if any) and bumps
   // `counter`, one of group.stats's fields.
   static PreparedRequest TakeCentralHead(DispatchGroup& group,
@@ -571,16 +571,15 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // JBSQ credit refill: move central-queue heads into ep's private queue
   // until the endpoint holds k resident requests.
   void ReplenishJbsq(Endpoint& ep);
-  // A retired/deactivated core returns its private queue (its unspent JBSQ
-  // credits) to the *front* of the central queue, preserving FCFS order.
-  void ReturnLocalQueue(Endpoint& ep);
-  // When no member of ep's group can serve the central queue (all retired
-  // or degraded), its contents drain through the kernel path instead of
-  // stranding behind cores that will never poll again.
-  void MaybeDrainCentral(Endpoint& ep);
-  // After an endpoint loses its core, queued work must not strand: restart
-  // via the cold path.
-  void MaybeRestartCold(Endpoint& ep);
+  // ep lost its core (retire, loop exit, degradation): its runway (unspent
+  // JBSQ credits) returns to the front of the central queue, the rest of its
+  // private queue takes the kernel path at once, and a central queue no
+  // member can serve any more drains there too.
+  void HandBack(Endpoint& ep);
+  // A cold dispatch for ep completed while ep has no loop: the next queued
+  // request (its own, or central overflow past the spill threshold) takes
+  // the kernel path, keeping the recruit alive until the loop enters.
+  void ContinueCold(Endpoint& ep);
   // Writes args into line_store aux lines / DMA buffer; returns the
   // DispatchLine describing the delivery.
   DispatchLine BuildDispatch(const Endpoint& ep, const PreparedRequest& request,
@@ -622,8 +621,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   std::unordered_map<uint16_t, std::vector<uint32_t>> port_to_endpoints_;
   std::unordered_map<LineAddr, LineData> line_store_;
   std::deque<PreparedRequest> cold_queue_;
-  // Cold requests handed to a dispatcher, awaiting SoftwareTransmit.
-  std::unordered_map<uint64_t, PreparedRequest> cold_inflight_;
+  // Cold requests handed to a dispatcher, awaiting SoftwareTransmit (the
+  // parity field is unused; core and delivered_at feed core occupancy).
+  std::unordered_map<uint64_t, OutstandingRequest> cold_inflight_;
   uint32_t next_service_endpoint_ = 0;
   uint32_t next_kernel_channel_ = 0;
   std::vector<uint32_t> free_continuations_;

@@ -171,12 +171,11 @@ void LauberhornRuntime::PolicyTick() {
     Deschedule(idlest);
     break;  // at most one release per tick
   }
-  // Scale up (§18): under a central discipline a backlogged service never
-  // spills to the cold path — requests wait in the NIC-side central queue
-  // while any member holds a core — so the legacy recruit trigger (cold
-  // dispatch waking a dispatcher that pins a core) cannot fire. The governor
-  // reads the policy's aggregate backlog instead: a non-empty central queue
-  // recruits the lowest-id parked endpoint, one per service per tick.
+  // Scale up (§18): a central queue spills to the cold path only past a
+  // full runway per live core, where the cold dispatch's completion pins a
+  // core (HandleColdDispatch). The governor also reads the policy's
+  // aggregate backlog: a non-empty central queue recruits the lowest-id
+  // parked endpoint, one per service per tick.
   std::map<uint32_t, uint32_t> recruit;  // service -> lowest parked endpoint
   for (const auto& [id, rt] : endpoints_) {
     // stop_requested is deliberately not checked: it stays set on a retired
@@ -631,14 +630,7 @@ void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
                                   }
                                   nic_.SoftwareTransmit(nested_response.request_id,
                                                         std::move(nested_response));
-                                  ++rpcs_cold_;
-                                  dispatchers_[slot].armed = false;
-                                  kernel_.scheduler().OnWorkDone(core);
-                                  if (nic_.DispatchBacklog(rt.endpoint) > 0 ||
-                                      nic_.ArrivalRate(rt.endpoint) >
-                                          config_.hot_rate_threshold_rps) {
-                                    StartUserLoop(rt.endpoint, core.index());
-                                  }
+                                  FinishColdDispatch(slot, core, rt);
                                 });
                      });
                  return;
@@ -656,20 +648,32 @@ void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
                                 sim_.Now());
                }
                nic_.SoftwareTransmit(response.request_id, std::move(response));
-               ++rpcs_cold_;
-               dispatchers_[slot].armed = false;
-               kernel_.scheduler().OnWorkDone(core);
-               // Fig. 5 (1): the core stays with the process in its user-mode
-               // loop — but only for endpoints that are actually hot; one-off
-               // invocations stay on the cold path (no churn).
-               // DispatchBacklog: central-queue work (c-FCFS / JBSQ) also
-               // justifies keeping the core in the hot loop (§18).
-               if (nic_.DispatchBacklog(rt.endpoint) > 0 ||
-                   nic_.ArrivalRate(rt.endpoint) > config_.hot_rate_threshold_rps) {
-                 StartUserLoop(rt.endpoint, core.index());
-               }
+               FinishColdDispatch(slot, core, rt);
              });
            });
+}
+
+void LauberhornRuntime::FinishColdDispatch(size_t slot, Core& core,
+                                           EndpointRt& rt) {
+  ++rpcs_cold_;
+  if (nic_.ColdQueueDepth() > 0) {
+    // More cold work is queued: the dispatcher keeps its core and polls its
+    // channel again, as a kthread drains its queue before sleeping. Yielding
+    // would leave that work to the next policy tick, or take a loop's core
+    // back to wake another dispatcher for it.
+    DispatcherIter(slot, core);
+  } else {
+    dispatchers_[slot].armed = false;
+    kernel_.scheduler().OnWorkDone(core);
+  }
+  // Fig. 5 (1): the process gets a user-mode loop (on this core, when the
+  // dispatcher yielded it) — but only for endpoints that are actually hot;
+  // one-off invocations stay on the cold path (no churn). DispatchBacklog:
+  // central-queue work (c-FCFS / JBSQ) also justifies the loop (§18).
+  if (nic_.DispatchBacklog(rt.endpoint) > 0 ||
+      nic_.ArrivalRate(rt.endpoint) > config_.hot_rate_threshold_rps) {
+    StartUserLoop(rt.endpoint, core.index());
+  }
 }
 
 }  // namespace lauberhorn

@@ -126,6 +126,9 @@ class LauberhornRuntime : public SchedStateListener {
   void ExitLoop(EndpointRt& rt, Core& core);
 
   void DispatcherIter(size_t slot, Core& core);
+  // A cold dispatch's handler finished: keep draining the cold queue on this
+  // core, or yield it and promote the endpoint to a loop if it is hot.
+  void FinishColdDispatch(size_t slot, Core& core, EndpointRt& rt);
   void HandleColdDispatch(size_t slot, Core& core, DispatchLine dispatch,
                           std::vector<uint8_t> args);
   void WakeDispatcher();

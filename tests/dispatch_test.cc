@@ -4,9 +4,11 @@
 // (everything completes, nothing executes twice), the JBSQ outstanding bound,
 // credit return when a core retires mid-load, central-queue visibility through
 // DispatchBacklog/ServiceBacklog, TryAgain not stranding central requests,
-// the central queue's and the JBSQ runway's admission gates, the VF dispatch
-// default, at-most-once across NIC crashes under central disciplines, and
-// bit-identical determinism across runs.
+// the spill onto a coreless endpoint when the loop cap blocks a loop, a
+// retired d-FCFS endpoint handing its whole queue to the kernel path,
+// the central queue's and the JBSQ runway's admission gates, at-most-once
+// across NIC crashes under central disciplines, and bit-identical
+// determinism across runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,8 +30,8 @@ namespace {
 
 TEST(DispatchPolicyKindTest, ToStringParseRoundTrip) {
   for (DispatchPolicyKind kind :
-       {DispatchPolicyKind::kLegacy, DispatchPolicyKind::kDFcfs,
-        DispatchPolicyKind::kCFcfs, DispatchPolicyKind::kJbsq}) {
+       {DispatchPolicyKind::kDFcfs, DispatchPolicyKind::kCFcfs,
+        DispatchPolicyKind::kJbsq}) {
     const auto parsed = ParseDispatchPolicyKind(ToString(kind));
     ASSERT_TRUE(parsed.has_value()) << ToString(kind);
     EXPECT_EQ(*parsed, kind);
@@ -256,7 +258,7 @@ TEST_P(DispatchE2eTest, EveryRequestCompletesExactlyOnce) {
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
   EXPECT_EQ(harness.TotalExecutions(), harness.sent());
   EXPECT_EQ(harness.machine().client().errors(), 0u);
-  // The policy actually ran: its counters (not legacy's) carry the traffic.
+  // The policy actually ran: its own counters carry the traffic.
   bool found = false;
   for (const auto& [kind, stats] : harness.nic().PolicyStatsSnapshot()) {
     if (kind == GetParam()) {
@@ -370,6 +372,73 @@ TEST(DispatchCentralTest, TryAgainDoesNotStrandCentralRequests) {
   EXPECT_GT(hot, 0u);
 }
 
+// --- Core recruitment and core loss --------------------------------------------
+
+TEST(DispatchRecruitTest, OverflowTakesTheKernelPathWhenTheLoopCapBlocksALoop) {
+  // Two cores, one reserved for kernel work: the loop cap admits one loop,
+  // so the service's second endpoint never gets one. Once the central queue
+  // holds the live core's full runway, the overflow spills onto the coreless
+  // endpoint through the kernel path, and the reserved core works the burst
+  // alongside the loop instead of the loop draining it alone.
+  MachineConfig config = DispatchConfig();
+  config.num_cores = 2;
+  const Duration handler = Microseconds(20);
+  DispatchHarness harness(std::move(config), Policy(DispatchPolicyKind::kJbsq),
+                          FixedSpec(handler), /*max_cores=*/2);
+  const auto endpoints = harness.machine().EndpointsOf(harness.service());
+  ASSERT_EQ(endpoints.size(), 2u);
+  ASSERT_NE(harness.nic().EndpointActive(endpoints[0]),
+            harness.nic().EndpointActive(endpoints[1]));
+  const uint32_t coreless =
+      harness.nic().EndpointActive(endpoints[0]) ? endpoints[1] : endpoints[0];
+
+  const int burst = 20;
+  harness.Flood(burst, Nanoseconds(500), /*drain=*/Milliseconds(2));
+  EXPECT_EQ(harness.ok(), static_cast<uint64_t>(burst));
+  EXPECT_EQ(harness.DuplicateExecutions(), 0u);
+  EXPECT_GT(harness.machine().lauberhorn_runtime()->rpcs_cold(), 0u);
+  const auto trace = harness.nic().trace().ForEndpoint(coreless);
+  EXPECT_TRUE(std::any_of(trace.begin(), trace.end(), [](const auto& entry) {
+    return entry.event == TraceEvent::kDispatchCold;
+  }));
+  EXPECT_TRUE(std::none_of(trace.begin(), trace.end(), [](const auto& entry) {
+    return entry.event == TraceEvent::kLoopEnter;
+  })) << "the loop cap must have kept the second endpoint coreless";
+  // One core alone needs burst x handler for the last request; two working
+  // in parallel finish well inside three quarters of that.
+  EXPECT_LT(harness.rtt().max(), burst * handler * 3 / 4);
+}
+
+TEST(DispatchRecruitTest, RetiredDFcfsEndpointHandsItsWholeQueueToTheKernelPath) {
+  // d-FCFS: a core retired while its endpoint holds queued requests hands
+  // all of them to the kernel path at once, where the dispatchers serve
+  // them in parallel — not one per completed cold dispatch while the scale
+  // cooldown withholds the loop restart.
+  MachineConfig config = DispatchConfig();
+  config.runtime.scale_cooldown = Milliseconds(5);
+  const Duration handler = Microseconds(20);
+  DispatchHarness harness(std::move(config), Policy(DispatchPolicyKind::kDFcfs),
+                          FixedSpec(handler), /*max_cores=*/1);
+  const uint32_t ep = harness.machine().EndpointsOf(harness.service()).at(0);
+  const int queued = 8;
+  size_t depth_at_retire = 0;
+  harness.machine().sim().Schedule(Microseconds(5), [&]() {
+    depth_at_retire = harness.nic().QueueDepth(ep);
+    harness.machine().lauberhorn_runtime()->Deschedule(ep);
+  });
+  // One request in the handler, `queued` behind it on the private queue.
+  harness.Flood(queued + 1, Nanoseconds(200), /*drain=*/Milliseconds(2));
+
+  EXPECT_EQ(depth_at_retire, static_cast<size_t>(queued));
+  EXPECT_EQ(harness.ok(), harness.sent());
+  EXPECT_EQ(harness.DuplicateExecutions(), 0u);
+  EXPECT_GE(harness.machine().lauberhorn_runtime()->rpcs_cold(),
+            static_cast<uint64_t>(queued));
+  // The in-flight request, then the queue in parallel rounds over the
+  // machine's dispatchers; one at a time would take queued x handler more.
+  EXPECT_LT(harness.rtt().max(), handler * (1 + queued / 2));
+}
+
 // --- Central disciplines under admission control -----------------------------
 
 MachineConfig AdmissionDispatchConfig(size_t depth_limit, SojournConfig sojourn) {
@@ -476,72 +545,6 @@ TEST(DispatchAdmissionTest, JbsqRunwayObeysAdmissionDepthLimit) {
   EXPECT_GT(stats.sheds.queue, 0u);
   EXPECT_EQ(harness.ok() + stats.sheds.queue, harness.sent());
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
-}
-
-// --- Policy resolution ---------------------------------------------------------
-
-TEST(DispatchPolicyResolutionTest, VfDefaultAppliesToLegacyServicesOnTheVf) {
-  // A VF's dispatch default fills in for its services left at kLegacy; a
-  // service that names its own discipline keeps it; PF services have no
-  // tenant default and stay legacy.
-  Machine machine(DispatchConfig());
-  LauberhornNic::VfConfig vf;
-  vf.name = "jbsq-tenant";
-  vf.dispatch = Policy(DispatchPolicyKind::kJbsq, /*k=*/3);
-  const uint32_t vf_id = machine.CreateVf(vf);
-  const Duration handler = Microseconds(1);
-  ServiceDef own = ServiceRegistry::MakeEchoService(2, 7001, handler);
-  own.dispatch = Policy(DispatchPolicyKind::kDFcfs);
-  const std::vector<const ServiceDef*> services = {
-      &machine.AddService(ServiceRegistry::MakeEchoService(1, 7000, handler), 1,
-                          vf_id),
-      &machine.AddService(std::move(own), 1, vf_id),
-      &machine.AddService(ServiceRegistry::MakeEchoService(3, 7002, handler), 1,
-                          /*vf=*/0),
-  };
-  machine.Start();
-  for (const ServiceDef* service : services) {
-    machine.StartHotLoop(*service);
-  }
-  machine.sim().RunUntil(Microseconds(100));
-  const int per_service = 10;
-  int ok = 0;
-  for (int i = 0; i < per_service * 3; ++i) {
-    const ServiceDef* service = services[i % 3];
-    machine.sim().Schedule(Microseconds(i), [&machine, &ok, service]() {
-      std::vector<WireValue> args = {WireValue::Bytes({1, 2, 3})};
-      machine.client().Call(*service, 0, args,
-                            [&ok](const RpcMessage& response, Duration) {
-                              ok += response.status == RpcStatus::kOk;
-                            });
-    });
-  }
-  machine.sim().RunUntil(machine.sim().Now() + Milliseconds(2));
-  EXPECT_EQ(ok, per_service * 3);
-
-  LauberhornNic& nic = *machine.lauberhorn_nic();
-  EXPECT_EQ(nic.ServicePolicy(1).kind, DispatchPolicyKind::kJbsq);
-  EXPECT_EQ(nic.ServicePolicy(1).jbsq_k, 3u);
-  EXPECT_EQ(nic.ServicePolicy(2).kind, DispatchPolicyKind::kDFcfs);
-  EXPECT_EQ(nic.ServicePolicy(3).kind, DispatchPolicyKind::kLegacy);
-
-  // Each service's requests land in its own discipline's counters; legacy
-  // is listed but counts nothing.
-  const auto snapshot = nic.PolicyStatsSnapshot();
-  const std::map<DispatchPolicyKind, DispatchPolicyStats> by_kind(
-      snapshot.begin(), snapshot.end());
-  ASSERT_EQ(by_kind.size(), 3u);
-  const DispatchPolicyStats& jbsq = by_kind.at(DispatchPolicyKind::kJbsq);
-  const DispatchPolicyStats& dfcfs = by_kind.at(DispatchPolicyKind::kDFcfs);
-  const DispatchPolicyStats& legacy = by_kind.at(DispatchPolicyKind::kLegacy);
-  EXPECT_EQ(jbsq.hot_dispatches + jbsq.local_queued + jbsq.central_queued,
-            static_cast<uint64_t>(per_service));
-  EXPECT_EQ(dfcfs.hot_dispatches + dfcfs.local_queued,
-            static_cast<uint64_t>(per_service));
-  EXPECT_EQ(legacy.hot_dispatches + legacy.local_queued + legacy.central_queued,
-            0u);
-  EXPECT_GE(nic.stats().hot_dispatches + nic.stats().queued_dispatches,
-            static_cast<uint64_t>(per_service * 3));
 }
 
 TEST(DispatchChaosTest, AtMostOnceAcrossNicCrashesUnderCentralPolicies) {

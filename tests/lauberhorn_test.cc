@@ -202,20 +202,23 @@ TEST(LauberhornNicTest, OverloadedEndpointSendsOverloadStatus) {
   machine.sim().RunUntil(Milliseconds(200));
   EXPECT_GT(overloaded, 0) << "queue overflow must be signalled, not dropped";
   EXPECT_GT(ok, 0);
-  EXPECT_EQ(machine.lauberhorn_nic()->stats().drops_queue_full,
+  EXPECT_EQ(machine.lauberhorn_nic()->stats().sheds.queue,
             static_cast<uint64_t>(overloaded));
 }
 
-TEST(LauberhornNicTest, SpilloverRecruitsSecondEndpoint) {
+TEST(LauberhornNicTest, CentralBacklogRecruitsSecondEndpoint) {
   MachineConfig config = Config(/*cores=*/4);
   Machine machine(config);
   const ServiceDef& echo = machine.AddService(
       ServiceRegistry::MakeEchoService(1, 7000, Microseconds(50)), /*max_cores=*/2);
   machine.Start();
   machine.StartHotLoop(echo);  // starts both endpoints' loops if possible
+  // The idle millisecond lets the governor release the surplus loop.
   machine.sim().RunUntil(Milliseconds(1));
 
-  // A burst deeper than the spillover threshold must engage both endpoints.
+  // A burst deeper than one core's JBSQ runway must engage both endpoints:
+  // the central queue's spill sends overflow cold onto the coreless one,
+  // and that cold dispatch promotes it to a loop.
   for (int i = 0; i < 40; ++i) {
     machine.client().Call(echo, 0, Payload(16));
   }

@@ -231,7 +231,7 @@ TEST_F(ColdPathSpecTest, CorrectColdPathPassesAllChecks) {
 TEST_F(ColdPathSpecTest, MissingRearmStrandsRequests) {
   // The exact bug class found while building this repository: a cold
   // request's completion path forgot to clear/re-signal, stranding queued
-  // requests (see SoftwareTransmit + MaybeRestartCold).
+  // requests (see SoftwareTransmit + ContinueCold).
   ColdSpecConfig config;
   config.bug_no_rearm_after_handle = true;
   const auto result = Run(config);
