@@ -8,7 +8,14 @@
 namespace lauberhorn {
 namespace {
 
-Duration Measure(StackKind stack, bool encrypted, size_t payload) {
+struct Cell {
+  Duration p50 = 0;
+  Duration max = 0;
+  double cycles_per_rpc = 0.0;
+  uint64_t server_rpcs = 0;
+};
+
+Cell Measure(StackKind stack, bool encrypted, size_t payload) {
   MachineConfig config;
   config.stack = stack;
   config.platform = PlatformSpec::EnzianEci();
@@ -31,29 +38,53 @@ Duration Measure(StackKind stack, bool encrypted, size_t payload) {
     });
   }
   machine.sim().RunUntil(machine.sim().Now() + Milliseconds(100));
-  return machine.end_system_latency().P50();
+  const Histogram& latency = machine.end_system_latency();
+  return Cell{latency.P50(), latency.max(), machine.CyclesPerRpc(),
+              machine.server_rpcs()};
 }
 
 }  // namespace
 }  // namespace lauberhorn
 
+// The whole sweep runs in well under a second, so --smoke runs it unchanged.
 int main(int argc, char** argv) {
-  const bool csv = lauberhorn::BenchArgs::Parse(argc, argv).csv;
   using namespace lauberhorn;
+  const BenchArgs args = BenchArgs::Parse(argc, argv);
   PrintHeader("ABL-CRYPTO", "transport encryption: NIC crypto engine vs software AES");
 
   Table table({"stack", "payload (B)", "clear p50 (us)", "encrypted p50 (us)",
                "crypto cost"});
+  std::vector<std::string> json_rows;
   for (StackKind stack :
        {StackKind::kLinux, StackKind::kBypass, StackKind::kLauberhorn}) {
     for (size_t payload : {64u, 1024u, 4096u}) {
-      const Duration clear = Measure(stack, false, payload);
-      const Duration sealed = Measure(stack, true, payload);
+      const Cell clear = Measure(stack, false, payload);
+      const Cell sealed = Measure(stack, true, payload);
       table.AddRow({ToString(stack), Table::Int(static_cast<int64_t>(payload)),
-                    Us(clear), Us(sealed), Us(sealed - clear) + "us"});
+                    Us(clear.p50), Us(sealed.p50), Us(sealed.p50 - clear.p50) + "us"});
+      json_rows.push_back(JsonObject()
+                              .Field("stack", ToString(stack))
+                              .Field("payload_bytes", static_cast<uint64_t>(payload))
+                              .Field("clear_p50_ps", static_cast<uint64_t>(clear.p50))
+                              .Field("encrypted_p50_ps", static_cast<uint64_t>(sealed.p50))
+                              .Field("clear_max_ps", static_cast<uint64_t>(clear.max))
+                              .Field("encrypted_max_ps", static_cast<uint64_t>(sealed.max))
+                              .Field("clear_cycles_per_rpc", clear.cycles_per_rpc)
+                              .Field("encrypted_cycles_per_rpc", sealed.cycles_per_rpc)
+                              .Field("clear_server_rpcs", clear.server_rpcs)
+                              .Field("encrypted_server_rpcs", sealed.server_rpcs)
+                              .Render());
     }
   }
-  PrintTable(table, csv);
+  PrintTable(table, args.csv);
+
+  if (!args.json.empty()) {
+    JsonObject doc;
+    doc.Field("bench", std::string("ABL-CRYPTO")).Raw("rows", JsonArray(json_rows));
+    if (!WriteJsonFile(args.json, doc.Render())) {
+      return 1;
+    }
+  }
 
   std::printf("\nSoftware AES costs the host ~0.5us/KiB each way; the NIC engine hides\n"
               "crypto inside the pipeline, preserving the end-system latency advantage\n"

@@ -91,26 +91,22 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
       driver_config.buffer_size = 64 * 1024;
       dma_driver_ = std::make_unique<DmaNicDriver>(*sim_, driver_config, *pcie_, iommu_,
                                                    *memory_);
+      // The software stacks read the server-wide settings from here.
+      RpcDedupCache* dedup = config_.server_dedup ? &dedup_ : nullptr;
+      const std::optional<uint64_t> crypto_root_key =
+          config_.encrypt_rpcs ? std::optional(config_.crypto_root_key) : std::nullopt;
       if (config_.stack == StackKind::kLinux) {
-        LinuxRpcStack::Config linux_config = config_.linux_stack;
-        linux_config.admission = config_.admission;
-        linux_config.encrypt_rpcs = config_.encrypt_rpcs;
-        linux_config.crypto_root_key = config_.crypto_root_key;
-        linux_config.dedup = config_.server_dedup;
-        linux_stack_ = std::make_unique<LinuxRpcStack>(*sim_, *kernel_, *dma_nic_,
-                                                       *dma_driver_, *msix_, services_,
-                                                       dedup_, linux_config);
+        linux_stack_ = std::make_unique<LinuxRpcStack>(
+            *sim_, *kernel_, *dma_nic_, *dma_driver_, *msix_, services_, dedup,
+            crypto_root_key, config_.admission, config_.linux_stack);
       } else {
         BypassRuntime::Config bypass_config;
         for (uint32_t q = 0; q < config_.nic_queues; ++q) {
           bypass_config.cores.push_back(static_cast<int>(q));
         }
-        bypass_config.admission = config_.admission;
-        bypass_config.encrypt_rpcs = config_.encrypt_rpcs;
-        bypass_config.crypto_root_key = config_.crypto_root_key;
-        bypass_config.dedup = config_.server_dedup;
         bypass_ = std::make_unique<BypassRuntime>(*sim_, *kernel_, *dma_driver_, services_,
-                                                  dedup_, bypass_config);
+                                                  dedup, crypto_root_key,
+                                                  config_.admission, bypass_config);
       }
       break;
     }

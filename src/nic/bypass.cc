@@ -1,6 +1,7 @@
 #include "src/nic/bypass.h"
 
 #include <cassert>
+#include <cstdint>
 #include <utility>
 
 #include "src/nic/server_step.h"
@@ -8,14 +9,17 @@
 namespace lauberhorn {
 
 BypassRuntime::BypassRuntime(Simulator& sim, Kernel& kernel, DmaNicDriver& driver,
-                             ServiceRegistry& services, RpcDedupCache& dedup,
-                             Config config)
+                             ServiceRegistry& services, RpcDedupCache* dedup,
+                             std::optional<uint64_t> crypto_root_key,
+                             const AdmissionConfig& admission, Config config)
     : sim_(sim),
       kernel_(kernel),
       driver_(driver),
       services_(services),
-      config_(std::move(config)),
-      dedup_(dedup) {
+      dedup_(dedup),
+      crypto_root_key_(crypto_root_key),
+      admission_(admission),
+      config_(std::move(config)) {
   assert(config_.cores.size() >= driver_.num_queues() &&
          "bypass needs one dedicated core per queue");
 }
@@ -63,127 +67,93 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
     Loop(q, core);
     return;
   }
-  const OsCostModel& costs = kernel_.costs();
   Packet& packet = packets[index];
   const auto frame = ParseUdpFrame(packet);
-  if (!frame.has_value()) {
-    ++bad_requests_;
-    core.Run(config_.per_packet, CoreMode::kUser,
+  auto request =
+      frame.has_value() ? DecodeRpcMessage(frame->payload) : std::optional<RpcMessage>();
+  // A dropped packet still costs `work` on this core before the next one.
+  auto drop = [this, q, &core, &packets, index](Duration work) {
+    core.Run(work, CoreMode::kUser,
              [this, q, &core, packets = std::move(packets), index]() mutable {
                ProcessBatch(q, core, std::move(packets), index + 1);
              });
+  };
+  if (!request.has_value()) {
+    ++bad_requests_;
+    drop(config_.per_packet);
     return;
   }
-  auto request = DecodeRpcMessage(frame->payload);
-  const ServiceDef* service =
-      request.has_value() ? services_.FindByPort(frame->udp.dst_port) : nullptr;
-
+  const ServiceDef* service = services_.FindByPort(frame->udp.dst_port);
   Duration work = config_.per_packet;
 
-  if (config_.admission.enabled && request.has_value() &&
-      request->kind == MessageKind::kRequest && service != nullptr) {
-    const ShedReason reason =
-        AdmissionCheck(q, service->service_id, packets.size() - index);
+  if (admission_.enabled && request->kind == MessageKind::kRequest && service != nullptr) {
+    const SimTime now = sim_.Now();
+    // Ring occupancy: completed-but-unharvested descriptors plus the tail of
+    // the current batch still waiting for this core. No timestamps in the
+    // ring: the head's sojourn is estimated as occupancy times the
+    // per-request driver cost floor (an underestimate once handlers run, so
+    // this gate is conservative — the depth bound backstops it). The ring
+    // has no bound of its own here: overflow drops at the device.
+    const size_t occupancy = driver_.RxOccupancy(q) + (packets.size() - index);
+    TokenBucket& quota =
+        service_quota_
+            .try_emplace(service->service_id, admission_.quota_rps, admission_.quota_burst)
+            .first->second;
+    const ShedReason reason = AdmissionVerdict(
+        occupancy, SIZE_MAX, quota, sojourn_[q],
+        static_cast<Duration>(occupancy) * (config_.per_packet + config_.tx_per_packet),
+        now, admission_);
     if (reason != ShedReason::kNone) {
       sheds_.Count(reason);
-      // DCTCP fallback (§15): ReplyFrame echoes the fabric's CE mark even
-      // on a shed.
-      const Packet out =
-          ReplyFrame(frame->eth, frame->ip, frame->udp,
-                     ReplyTo(request->service_id, request->method_id,
-                             request->request_id, RpcStatus::kOverloaded));
       // Saying "no" skips crypto, dedup, and the handler, but still burns
-      // user CPU on the polling core for the decode + reply TX.
+      // user CPU on the polling core for the decode + reply TX. DCTCP
+      // fallback (§15): ReplyFrame echoes the fabric's CE mark even on a shed.
       work += config_.tx_per_packet;
       sheds_.cpu += work;
+      Packet out = ReplyFrame(frame->eth, frame->ip, frame->udp,
+                              ReplyTo(request->service_id, request->method_id,
+                                      request->request_id, RpcStatus::kOverloaded));
       core.Run(work, CoreMode::kUser,
-               [this, q, &core, out, packets = std::move(packets), index]() mutable {
+               [this, q, &core, out = std::move(out), packets = std::move(packets),
+                index]() mutable {
                  driver_.Transmit(q, out.bytes);
                  ProcessBatch(q, core, std::move(packets), index + 1);
                });
       return;
     }
   }
-  if (request.has_value() && service != nullptr && config_.encrypt_rpcs) {
-    work += costs.SwCryptoCost(request->payload.size());
-    auto opened = OpenPayload(DeriveKey(config_.crypto_root_key, service->service_id),
-                              request->payload);
-    if (!opened.has_value()) {
-      request.reset();  // authentication failure: treated as a bad request
-    } else {
-      request->payload = std::move(*opened);
-    }
-  }
-  if (!request.has_value() || request->kind != MessageKind::kRequest) {
+  Served served = ServeRequest(std::move(*request), service,
+                               DedupFlowKey(frame->ip.src, frame->udp.src_port), dedup_,
+                               crypto_root_key_, kernel_.costs());
+  work += served.user_cost;
+  if (served.verdict == ServeVerdict::kBadRequest) {
     ++bad_requests_;
-    core.Run(work, CoreMode::kUser,
-             [this, q, &core, packets = std::move(packets), index]() mutable {
-               ProcessBatch(q, core, std::move(packets), index + 1);
-             });
+  }
+  if (served.verdict == ServeVerdict::kBadRequest ||
+      served.verdict == ServeVerdict::kInFlight) {
+    drop(work);
     return;
   }
-  RpcMessage response =
-      ReplyTo(request->service_id, request->method_id, request->request_id);
-
-  // At-most-once admission, after decryption/decode validated the copy.
-  bool replay = false;
-  uint64_t flow = 0;
-  if (config_.dedup) {
-    flow = DedupFlowKey(frame->ip.src, frame->udp.src_port);
-    const RpcDedupCache::Screened screen = dedup_.Screen(flow, request->request_id);
-    if (screen.verdict == RpcDedupCache::Verdict::kInFlight) {
-      core.Run(work, CoreMode::kUser,
-               [this, q, &core, packets = std::move(packets), index]() mutable {
-                 ProcessBatch(q, core, std::move(packets), index + 1);
-               });
-      return;
-    }
-    if (screen.verdict == RpcDedupCache::Verdict::kCompleted) {
-      response = *screen.cached;  // already sealed; resend as-is
-      replay = true;
-    }
-  }
-
-  if (!replay) {
-    if (spans_ != nullptr) {
-      // Run-to-completion: admission, dispatch, pickup, and handler entry
-      // all collapse into this single poll-loop decision point.
-      spans_->Record(request->request_id, SpanStage::kAdmitted, sim_.Now());
-      spans_->Record(request->request_id, SpanStage::kDispatched, sim_.Now());
-      spans_->Record(request->request_id, SpanStage::kDelivered, sim_.Now());
-      spans_->Record(request->request_id, SpanStage::kHandlerStart, sim_.Now());
-      spans_->Annotate(request->request_id, SpanDispatch::kPolled, q);
-    }
-    Invocation result = InvokeMethod(service, request->method_id, request->payload);
-    response.status = result.status;
-    response.payload = std::move(result.payload);
-    if (result.status == RpcStatus::kOk || result.status == RpcStatus::kBadArguments) {
-      work += costs.SwMarshalCost(request->payload.size());  // software unmarshal
-    }
-    if (result.status == RpcStatus::kOk) {
-      work += result.service_time + costs.SwMarshalCost(response.payload.size());
-    }
-    if (config_.encrypt_rpcs && !response.payload.empty() && service != nullptr) {
-      work += costs.SwCryptoCost(response.payload.size());
-      response.payload =
-          SealPayload(DeriveKey(config_.crypto_root_key, service->service_id),
-                      response.request_id ^ 0x5a5a, response.payload);
-    }
-    if (config_.dedup) {
-      dedup_.Complete(flow, response.request_id, response);
-    }
+  const bool replay = served.verdict == ServeVerdict::kReplay;
+  const uint64_t request_id = served.response.request_id;
+  if (spans_ != nullptr && !replay) {
+    // Run-to-completion: admission, dispatch, pickup, and handler entry
+    // all collapse into this single poll-loop decision point.
+    spans_->Record(request_id, SpanStage::kAdmitted, sim_.Now());
+    spans_->Record(request_id, SpanStage::kDispatched, sim_.Now());
+    spans_->Record(request_id, SpanStage::kDelivered, sim_.Now());
+    spans_->Record(request_id, SpanStage::kHandlerStart, sim_.Now());
+    spans_->Annotate(request_id, SpanDispatch::kPolled, q);
   }
   work += config_.tx_per_packet;
 
   // DCTCP fallback (§15): ReplyFrame echoes the CE mark after dedup caching,
   // so the cached response does not fossilize one request's congestion
   // observation.
-  const Packet out = ReplyFrame(frame->eth, frame->ip, frame->udp, std::move(response));
-
-  const uint64_t request_id = request->request_id;
+  Packet out = ReplyFrame(frame->eth, frame->ip, frame->udp, std::move(served.response));
   core.Run(work, CoreMode::kUser,
-           [this, q, &core, out, replay, request_id, packets = std::move(packets),
-            index]() mutable {
+           [this, q, &core, out = std::move(out), replay, request_id,
+            packets = std::move(packets), index]() mutable {
              if (spans_ != nullptr && !replay) {
                spans_->Record(request_id, SpanStage::kHandlerEnd, sim_.Now());
              }
@@ -193,38 +163,6 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
              }
              ProcessBatch(q, core, std::move(packets), index + 1);
            });
-}
-
-ShedReason BypassRuntime::AdmissionCheck(uint32_t q, uint32_t service_id,
-                                         size_t batch_remaining) {
-  const SimTime now = sim_.Now();
-  // Ring occupancy: completed-but-unharvested descriptors plus the tail of
-  // the current batch still waiting for this core.
-  const size_t occupancy = driver_.RxOccupancy(q) + batch_remaining;
-  if (config_.admission.queue_depth_limit > 0 &&
-      occupancy >= config_.admission.queue_depth_limit) {
-    return ShedReason::kQueueFull;
-  }
-  if (config_.admission.quota_rps > 0) {
-    TokenBucket& bucket =
-        service_quota_
-            .try_emplace(service_id, config_.admission.quota_rps,
-                         config_.admission.quota_burst)
-            .first->second;
-    if (!bucket.TryTake(now)) {
-      return ShedReason::kQuota;
-    }
-  }
-  // No timestamps in the ring: estimate the head's sojourn as occupancy
-  // times the per-request driver cost floor (an underestimate once handlers
-  // run, so this gate is conservative — the depth bound backstops it).
-  const Duration estimated =
-      static_cast<Duration>(occupancy) *
-      (config_.per_packet + config_.tx_per_packet);
-  if (sojourn_[q].ShouldShed(now, estimated, config_.admission.sojourn)) {
-    return ShedReason::kSojourn;
-  }
-  return ShedReason::kNone;
 }
 
 }  // namespace lauberhorn

@@ -6,6 +6,7 @@
 #define SRC_NIC_BYPASS_H_
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -13,7 +14,6 @@
 #include "src/nic/dma_nic.h"
 #include "src/os/kernel.h"
 #include "src/overload/overload.h"
-#include "src/proto/cipher.h"
 #include "src/proto/dedup.h"
 #include "src/proto/rpc_message.h"
 #include "src/proto/service.h"
@@ -40,23 +40,19 @@ class BypassRuntime {
     Duration per_packet = Nanoseconds(300);
     // Userspace TX cost per packet.
     Duration tx_per_packet = Nanoseconds(200);
-    // Software transport crypto.
-    bool encrypt_rpcs = false;
-    uint64_t crypto_root_key = 0;
-    // At-most-once execution (software analog of the Lauberhorn NIC's dedup
-    // stage): duplicates of in-flight requests are dropped, completed ones
-    // replay the cached response.
-    bool dedup = true;
-    // Overload admission in the poll loop. Rings carry no timestamps, so the
-    // sojourn check runs on *estimated* delay: ring occupancy times the
-    // per-request processing estimate. Sheds cost user CPU on the polling
-    // core (cheaper than a full handler pass, but not free like Lauberhorn).
-    AdmissionConfig admission;
   };
 
-  // `dedup` is the server's at-most-once table (owned by the Machine).
+  // The Machine-wide server settings, read from the Machine: `dedup` is the
+  // server's at-most-once table (null: dedup off), `crypto_root_key` turns on
+  // software transport crypto, and `admission` is the overload policy run in
+  // the poll loop. Rings carry no timestamps, so its sojourn check runs on
+  // *estimated* delay (ring occupancy times the per-request driver cost), and
+  // a shed costs user CPU on the polling core — cheaper than a handler pass,
+  // but not free as on Lauberhorn.
   BypassRuntime(Simulator& sim, Kernel& kernel, DmaNicDriver& driver,
-                ServiceRegistry& services, RpcDedupCache& dedup, Config config);
+                ServiceRegistry& services, RpcDedupCache* dedup,
+                std::optional<uint64_t> crypto_root_key, const AdmissionConfig& admission,
+                Config config);
 
   // Occupies the dedicated cores and starts spinning.
   void Start();
@@ -69,9 +65,11 @@ class BypassRuntime {
   uint64_t bad_requests() const { return bad_requests_; }
   uint64_t empty_polls() const { return empty_polls_; }
   uint64_t dup_drops_in_flight() const {
-    return dedup_.stats().duplicates_in_flight;
+    return dedup_ != nullptr ? dedup_->stats().duplicates_in_flight : 0;
   }
-  uint64_t dup_replays() const { return dedup_.stats().duplicates_replayed; }
+  uint64_t dup_replays() const {
+    return dedup_ != nullptr ? dedup_->stats().duplicates_replayed : 0;
+  }
   // Overload sheds by reason and the user CPU charged for shedding.
   const ShedCounts& sheds() const { return sheds_; }
 
@@ -79,18 +77,17 @@ class BypassRuntime {
   void Loop(uint32_t q, Core& core);
   std::vector<uint64_t> empty_streak_;
   void ProcessBatch(uint32_t q, Core& core, std::vector<Packet> packets, size_t index);
-  // Admission decision for one decoded request on queue `q`;
-  // `batch_remaining` counts the packets already polled but not yet served.
-  ShedReason AdmissionCheck(uint32_t q, uint32_t service_id, size_t batch_remaining);
 
   Simulator& sim_;
   Kernel& kernel_;
   DmaNicDriver& driver_;
   ServiceRegistry& services_;
+  RpcDedupCache* dedup_;
+  std::optional<uint64_t> crypto_root_key_;
+  const AdmissionConfig& admission_;
   Config config_;
   SpanCollector* spans_ = nullptr;
   Process* process_ = nullptr;  // the bypass application owns its data plane
-  RpcDedupCache& dedup_;
   bool running_ = false;
   uint64_t rpcs_completed_ = 0;
   uint64_t bad_requests_ = 0;

@@ -423,143 +423,148 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
   });
 }
 
+template <typename Done>
+void LauberhornRuntime::RunHandler(Core& core, const ServiceDef& service,
+                                   const DispatchLine& dispatch,
+                                   const std::vector<uint8_t>& args, Duration copy_cost,
+                                   Done done) {
+  if (spans_ != nullptr) {
+    spans_->Record(dispatch.request_id, SpanStage::kHandlerStart, sim_.Now());
+  }
+  auto finish = [this, &core, done = std::move(done)](RpcMessage response,
+                                                      Duration user_cost) mutable {
+    core.Run(user_cost, CoreMode::kUser,
+             [this, done = std::move(done), response = std::move(response)]() mutable {
+               if (spans_ != nullptr) {
+                 spans_->Record(response.request_id, SpanStage::kHandlerEnd, sim_.Now());
+               }
+               done(std::move(response));
+             });
+  };
+  // The NIC already unmarshalled and validated the args: decoding them here
+  // is free (they arrive laid out in registers/cache lines).
+  const MethodDef* method = service.FindMethod(dispatch.method_id);
+  std::vector<WireValue> values;
+  if (method != nullptr && method->has_nested_call() &&
+      UnmarshalArgs(method->request_sig, args, values)) {
+    IssueNested(core, *method, dispatch, std::move(values), std::move(finish));
+    return;
+  }
+  Invocation result = InvokeMethod(&service, dispatch.method_id, args);
+  RpcMessage response = ReplyTo(dispatch.service_id, dispatch.method_id,
+                                dispatch.request_id, result.status);
+  response.payload = std::move(result.payload);
+  finish(std::move(response), config_.handler_entry + copy_cost + result.service_time);
+}
+
 void LauberhornRuntime::HandleDispatch(EndpointRt& rt, Core& core,
                                        DispatchLine dispatch) {
   GatherArgs(rt.endpoint, core, dispatch,
-             [this, &rt, &core, dispatch](std::vector<uint8_t> args,
-                                          Duration extra_cost) {
-               if (spans_ != nullptr) {
-                 spans_->Record(dispatch.request_id, SpanStage::kHandlerStart,
-                                sim_.Now());
-               }
-               // The NIC already unmarshalled/validated: decoding here is
-               // free (args arrive laid out in registers/cache lines).
-               const MethodDef* method = rt.service->FindMethod(dispatch.method_id);
-               std::vector<WireValue> values;
-               if (method != nullptr && method->has_nested_call() &&
-                   UnmarshalArgs(method->request_sig, args, values)) {
-                 IssueNested(core, *method, dispatch, std::move(values),
-                             [this, &rt, &core, dispatch](RpcMessage nested_response,
-                                                          Duration finish_cost) {
-                               WriteResponse(rt, core, dispatch,
-                                             std::move(nested_response), finish_cost);
-                             });
-                 return;
-               }
-               Invocation result = InvokeMethod(rt.service, dispatch.method_id, args);
-               RpcMessage response = ReplyTo(dispatch.service_id, dispatch.method_id,
-                                             dispatch.request_id, result.status);
-               response.payload = std::move(result.payload);
-               WriteResponse(rt, core, dispatch, std::move(response),
-                             config_.handler_entry + extra_cost + result.service_time);
+             [this, &rt, &core, dispatch](std::vector<uint8_t> args, Duration copy_cost) {
+               RunHandler(core, *rt.service, dispatch, args, copy_cost,
+                          [this, &rt, &core](RpcMessage response) {
+                            WriteResponse(rt, core, std::move(response));
+                          });
              });
 }
 
-void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core,
-                                      const DispatchLine& dispatch, RpcMessage response,
-                                      Duration user_cost) {
-  core.Run(user_cost, CoreMode::kUser, [this, &rt, &core, dispatch,
-                                        response = std::move(response)]() mutable {
-    if (spans_ != nullptr) {
-      spans_->Record(dispatch.request_id, SpanStage::kHandlerEnd, sim_.Now());
-    }
-    ResponseLine line;
-    line.status = static_cast<uint16_t>(response.status);
-    line.resp_len = static_cast<uint32_t>(response.payload.size());
-    line.request_id = response.request_id;
+void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, RpcMessage response) {
+  ResponseLine line;
+  line.status = static_cast<uint16_t>(response.status);
+  line.resp_len = static_cast<uint32_t>(response.payload.size());
+  line.request_id = response.request_id;
 
-    const size_t line_size = nic_.line_size();
-    const size_t inline_cap = ResponseLine::InlineCapacity(line_size);
-    const size_t aux_cap = nic_.AuxCapacityBytes();
-    const LauberhornParams& params = nic_.config().params;
-    bool via_dma = false;
-    switch (nic_.config().large_policy) {
-      case LargeTransferPolicy::kForceDma:
-        via_dma = response.payload.size() > inline_cap;
-        break;
-      case LargeTransferPolicy::kForceCacheline:
-        via_dma = false;
-        break;
-      case LargeTransferPolicy::kAuto:
-        via_dma = response.payload.size() > params.dma_fallback_bytes ||
-                  response.payload.size() > inline_cap + aux_cap;
-        break;
-    }
-    if (via_dma && rt.dma_buffer == 0) {
+  const size_t line_size = nic_.line_size();
+  const size_t inline_cap = ResponseLine::InlineCapacity(line_size);
+  const size_t aux_cap = nic_.AuxCapacityBytes();
+  const LauberhornParams& params = nic_.config().params;
+  bool via_dma = false;
+  switch (nic_.config().large_policy) {
+    case LargeTransferPolicy::kForceDma:
+      via_dma = response.payload.size() > inline_cap;
+      break;
+    case LargeTransferPolicy::kForceCacheline:
       via_dma = false;
-    }
+      break;
+    case LargeTransferPolicy::kAuto:
+      via_dma = response.payload.size() > params.dma_fallback_bytes ||
+                response.payload.size() > inline_cap + aux_cap;
+      break;
+  }
+  if (via_dma && rt.dma_buffer == 0) {
+    via_dma = false;
+  }
 
-    const LineAddr ctrl = nic_.CtrlAddr(rt.endpoint, rt.parity);
-    auto continue_loop = [this, &rt, &core]() {
-      rt.parity ^= 1;  // the next request arrives on the other control line
-      LoopIter(rt, core);
-    };
+  const LineAddr ctrl = nic_.CtrlAddr(rt.endpoint, rt.parity);
+  auto continue_loop = [this, &rt, &core]() {
+    rt.parity ^= 1;  // the next request arrives on the other control line
+    LoopIter(rt, core);
+  };
 
-    if (via_dma) {
-      line.via_dma = true;
-      // Copy the payload into the host DMA buffer, then store the control line.
-      memory_.WriteBytes(rt.dma_buffer + kDmaBufferRespOffset, response.payload);
-      const Duration copy_cost = kernel_.costs().CopyCost(response.payload.size());
-      core.Run(copy_cost, CoreMode::kUser, [this, &rt, &core, line, ctrl,
-                                            continue_loop]() mutable {
-        core.cache().Store(ctrl, line.Encode(nic_.line_size()),
-                           [continue_loop]() { continue_loop(); });
-      });
-      ++rpcs_hot_;
-      return;
-    }
+  if (via_dma) {
+    line.via_dma = true;
+    // Copy the payload into the host DMA buffer, then store the control line.
+    memory_.WriteBytes(rt.dma_buffer + kDmaBufferRespOffset, response.payload);
+    const Duration copy_cost = kernel_.costs().CopyCost(response.payload.size());
+    core.Run(copy_cost, CoreMode::kUser, [this, &rt, &core, line, ctrl,
+                                          continue_loop]() mutable {
+      core.cache().Store(ctrl, line.Encode(nic_.line_size()),
+                         [continue_loop]() { continue_loop(); });
+    });
+    ++rpcs_hot_;
+    return;
+  }
 
-    const size_t inline_bytes = std::min(inline_cap, response.payload.size());
-    line.inline_payload.assign(response.payload.begin(),
-                               response.payload.begin() + inline_bytes);
-    size_t remaining = response.payload.size() - inline_bytes;
-    const size_t aux_count = (remaining + line_size - 1) / line_size;
-    assert(aux_count <= params.aux_lines && "response exceeds AUX capacity");
-    line.aux_lines = static_cast<uint8_t>(aux_count);
+  const size_t inline_bytes = std::min(inline_cap, response.payload.size());
+  line.inline_payload.assign(response.payload.begin(),
+                             response.payload.begin() + inline_bytes);
+  size_t remaining = response.payload.size() - inline_bytes;
+  const size_t aux_count = (remaining + line_size - 1) / line_size;
+  assert(aux_count <= params.aux_lines && "response exceeds AUX capacity");
+  line.aux_lines = static_cast<uint8_t>(aux_count);
 
-    if (params.posted_responses) {
-      // Ablation: push the response with posted uncached writes; the NIC's
-      // later fetch finds no cached copy and uses its own (just-written)
-      // line store — no RFO, no probe.
-      size_t cursor = inline_bytes;
-      for (size_t i = 0; i < aux_count; ++i) {
-        const size_t chunk = std::min(remaining, line_size);
-        std::vector<uint8_t> aux_bytes(response.payload.begin() + cursor,
-                                       response.payload.begin() + cursor + chunk);
-        cursor += chunk;
-        remaining -= chunk;
-        core.cache().StoreThrough(nic_.AuxAddr(rt.endpoint, i), aux_bytes);
-      }
-      core.cache().StoreThrough(ctrl, line.Encode(line_size));
-      const Duration cpu_cost =
-          static_cast<Duration>(1 + aux_count) * params.posted_write_cost;
-      core.Run(cpu_cost, CoreMode::kUser, continue_loop);
-      ++rpcs_hot_;
-      return;
-    }
-
-    // Fig. 4 path: cached stores the NIC pulls back with fetch-exclusive.
-    // Issue all stores back to back (they proceed in parallel on distinct
-    // lines); continue once every store has completed.
-    auto pending = std::make_shared<size_t>(1 + aux_count);
-    auto on_store = [pending, continue_loop]() {
-      if (--*pending == 0) {
-        continue_loop();
-      }
-    };
+  if (params.posted_responses) {
+    // Ablation: push the response with posted uncached writes; the NIC's
+    // later fetch finds no cached copy and uses its own (just-written)
+    // line store — no RFO, no probe.
     size_t cursor = inline_bytes;
     for (size_t i = 0; i < aux_count; ++i) {
       const size_t chunk = std::min(remaining, line_size);
       std::vector<uint8_t> aux_bytes(response.payload.begin() + cursor,
                                      response.payload.begin() + cursor + chunk);
-      aux_bytes.resize(line_size, 0);
       cursor += chunk;
       remaining -= chunk;
-      core.cache().Store(nic_.AuxAddr(rt.endpoint, i), aux_bytes, on_store);
+      core.cache().StoreThrough(nic_.AuxAddr(rt.endpoint, i), aux_bytes);
     }
-    core.cache().Store(ctrl, line.Encode(line_size), on_store);
+    core.cache().StoreThrough(ctrl, line.Encode(line_size));
+    const Duration cpu_cost =
+        static_cast<Duration>(1 + aux_count) * params.posted_write_cost;
+    core.Run(cpu_cost, CoreMode::kUser, continue_loop);
     ++rpcs_hot_;
-  });
+    return;
+  }
+
+  // Fig. 4 path: cached stores the NIC pulls back with fetch-exclusive.
+  // Issue all stores back to back (they proceed in parallel on distinct
+  // lines); continue once every store has completed.
+  auto pending = std::make_shared<size_t>(1 + aux_count);
+  auto on_store = [pending, continue_loop]() {
+    if (--*pending == 0) {
+      continue_loop();
+    }
+  };
+  size_t cursor = inline_bytes;
+  for (size_t i = 0; i < aux_count; ++i) {
+    const size_t chunk = std::min(remaining, line_size);
+    std::vector<uint8_t> aux_bytes(response.payload.begin() + cursor,
+                                   response.payload.begin() + cursor + chunk);
+    aux_bytes.resize(line_size, 0);
+    cursor += chunk;
+    remaining -= chunk;
+    core.cache().Store(nic_.AuxAddr(rt.endpoint, i), aux_bytes, on_store);
+  }
+  core.cache().Store(ctrl, line.Encode(line_size), on_store);
+  ++rpcs_hot_;
 }
 
 void LauberhornRuntime::DispatcherIter(size_t slot, Core& core) {
@@ -583,16 +588,16 @@ void LauberhornRuntime::DispatcherIter(size_t slot, Core& core) {
     }
     GatherArgs(d.channel, core, *dispatch,
                [this, slot, &core, dispatch = *dispatch](std::vector<uint8_t> args,
-                                                         Duration extra) {
-                 HandleColdDispatch(slot, core, dispatch, std::move(args));
-                 (void)extra;
+                                                         Duration copy_cost) {
+                 HandleColdDispatch(slot, core, dispatch, std::move(args), copy_cost);
                });
   });
 }
 
 void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
                                            DispatchLine dispatch,
-                                           std::vector<uint8_t> args) {
+                                           std::vector<uint8_t> args,
+                                           Duration copy_cost) {
   auto it = endpoints_.find(dispatch.endpoint_id);
   if (it == endpoints_.end()) {
     nic_.SoftwareTransmit(dispatch.request_id,
@@ -607,49 +612,13 @@ void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
 
   // Kernel-side demux + context switch into the target process.
   core.Run(config_.cold_handling_overhead + costs.context_switch, CoreMode::kKernel,
-           [this, slot, &core, &rt, dispatch, args = std::move(args)]() mutable {
+           [this, slot, &core, &rt, dispatch, args = std::move(args), copy_cost]() {
              core.set_loaded_pid(rt.process->pid);
-             if (spans_ != nullptr) {
-               spans_->Record(dispatch.request_id, SpanStage::kHandlerStart,
-                              sim_.Now());
-             }
-             const MethodDef* method = rt.service->FindMethod(dispatch.method_id);
-             if (method != nullptr && method->has_nested_call()) {
-               std::vector<WireValue> values;
-               if (UnmarshalArgs(method->request_sig, args, values)) {
-                 IssueNested(
-                     core, *method, dispatch, std::move(values),
-                     [this, slot, &core, &rt](RpcMessage nested_response,
-                                              Duration finish_cost) {
-                       core.Run(finish_cost, CoreMode::kUser,
-                                [this, slot, &core, &rt,
-                                 nested_response = std::move(nested_response)]() mutable {
-                                  if (spans_ != nullptr) {
-                                    spans_->Record(nested_response.request_id,
-                                                   SpanStage::kHandlerEnd, sim_.Now());
-                                  }
-                                  nic_.SoftwareTransmit(nested_response.request_id,
-                                                        std::move(nested_response));
-                                  FinishColdDispatch(slot, core, rt);
-                                });
-                     });
-                 return;
-               }
-             }
-             Invocation result = InvokeMethod(rt.service, dispatch.method_id, args);
-             RpcMessage response = ReplyTo(dispatch.service_id, dispatch.method_id,
-                                           dispatch.request_id, result.status);
-             response.payload = std::move(result.payload);
-             const Duration user_cost = config_.handler_entry + result.service_time;
-             core.Run(user_cost, CoreMode::kUser, [this, slot, &core, &rt,
-                                                   response = std::move(response)]() mutable {
-               if (spans_ != nullptr) {
-                 spans_->Record(response.request_id, SpanStage::kHandlerEnd,
-                                sim_.Now());
-               }
-               nic_.SoftwareTransmit(response.request_id, std::move(response));
-               FinishColdDispatch(slot, core, rt);
-             });
+             RunHandler(core, *rt.service, dispatch, args, copy_cost,
+                        [this, slot, &core, &rt](RpcMessage response) {
+                          nic_.SoftwareTransmit(response.request_id, std::move(response));
+                          FinishColdDispatch(slot, core, rt);
+                        });
            });
 }
 

@@ -115,14 +115,23 @@ class LauberhornRuntime : public SchedStateListener {
 
   void LoopIter(EndpointRt& rt, Core& core);
   void HandleDispatch(EndpointRt& rt, Core& core, DispatchLine dispatch);
+  // The handler step the hot and the cold path share: stamps kHandlerStart,
+  // runs the method on the NIC-delivered `args` (or issues its nested call),
+  // charges the handler's CPU time on `core` — `copy_cost` for reading
+  // DMA'd args included — stamps kHandlerEnd and hands the response to
+  // `done`. The NIC already opened, screened and unmarshalled the request,
+  // so none of that is charged here.
+  template <typename Done>
+  void RunHandler(Core& core, const ServiceDef& service, const DispatchLine& dispatch,
+                  const std::vector<uint8_t>& args, Duration copy_cost, Done done);
   // §6 nested RPC: runs the first handler phase, issues the nested call
   // through a continuation endpoint, parks on it for the reply, and hands the
   // combined response to `done` (with the finish phase's CPU cost to charge).
   void IssueNested(Core& core, const MethodDef& method, const DispatchLine& dispatch,
                    std::vector<WireValue> values,
                    Function<void(RpcMessage, Duration)> done);
-  void WriteResponse(EndpointRt& rt, Core& core, const DispatchLine& dispatch,
-                     RpcMessage response, Duration user_cost);
+  // Hot path: stores the response on the endpoint's control (+ AUX) lines.
+  void WriteResponse(EndpointRt& rt, Core& core, RpcMessage response);
   void ExitLoop(EndpointRt& rt, Core& core);
 
   void DispatcherIter(size_t slot, Core& core);
@@ -130,7 +139,7 @@ class LauberhornRuntime : public SchedStateListener {
   // core, or yield it and promote the endpoint to a loop if it is hot.
   void FinishColdDispatch(size_t slot, Core& core, EndpointRt& rt);
   void HandleColdDispatch(size_t slot, Core& core, DispatchLine dispatch,
-                          std::vector<uint8_t> args);
+                          std::vector<uint8_t> args, Duration copy_cost);
   void WakeDispatcher();
   void PolicyTick();
   // §1: the NIC asks the OS to reschedule in response to arriving packets:

@@ -1,7 +1,5 @@
 #include "src/nic/linux_stack.h"
 
-#include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "src/nic/server_step.h"
@@ -10,15 +8,18 @@ namespace lauberhorn {
 
 LinuxRpcStack::LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic,
                              DmaNicDriver& driver, Msix& msix, ServiceRegistry& services,
-                             RpcDedupCache& dedup, Config config)
+                             RpcDedupCache* dedup, std::optional<uint64_t> crypto_root_key,
+                             const AdmissionConfig& admission, Config config)
     : sim_(sim),
       kernel_(kernel),
       nic_(nic),
       driver_(driver),
       msix_(msix),
       services_(services),
-      config_(config),
-      dedup_(dedup) {}
+      dedup_(dedup),
+      crypto_root_key_(crypto_root_key),
+      admission_(admission),
+      config_(config) {}
 
 void LinuxRpcStack::RegisterServiceProcess(const ServiceDef& service) {
   auto state = std::make_unique<ServiceState>();
@@ -29,9 +30,8 @@ void LinuxRpcStack::RegisterServiceProcess(const ServiceDef& service) {
         kernel_.AddThread(state->process, service.name + "-w" + std::to_string(i)));
   }
   state->socket = kernel_.CreateSocket(service.udp_port, state->workers[0]);
-  if (config_.admission.enabled && config_.admission.quota_rps > 0) {
-    state->quota =
-        TokenBucket(config_.admission.quota_rps, config_.admission.quota_burst);
+  if (admission_.enabled && admission_.quota_rps > 0) {
+    state->quota = TokenBucket(admission_.quota_rps, admission_.quota_burst);
   }
   by_port_[service.udp_port] = std::move(state);
 }
@@ -85,8 +85,14 @@ void LinuxRpcStack::NapiPoll(uint32_t q, Core& core) {
         continue;
       }
       ServiceState& state = *it->second;
-      if (config_.admission.enabled) {
-        const ShedReason reason = AdmissionCheck(state);
+      if (admission_.enabled) {
+        // The signal is per service (socket depth, quota, socket sojourn);
+        // delay upstream of the softirq is bounded by the device ring/FIFO
+        // sizes, where a commodity NIC can only tail-drop silently.
+        const SimTime now = sim_.Now();
+        const ShedReason reason = AdmissionVerdict(
+            state.socket->depth(), state.socket->max_depth(), state.quota,
+            state.sojourn, state.socket->OldestAge(now), now, admission_);
         if (reason != ShedReason::kNone) {
           // Unlike the Lauberhorn NIC, saying "no" here still burns kernel
           // CPU: the softirq core decodes the request and transmits the
@@ -130,25 +136,6 @@ void LinuxRpcStack::NapiPoll(uint32_t q, Core& core) {
       finish();
     }
   });
-}
-
-ShedReason LinuxRpcStack::AdmissionCheck(ServiceState& state) {
-  const SimTime now = sim_.Now();
-  size_t depth_limit = state.socket->max_depth();
-  if (config_.admission.queue_depth_limit > 0) {
-    depth_limit = std::min(depth_limit, config_.admission.queue_depth_limit);
-  }
-  if (state.socket->depth() >= depth_limit) {
-    return ShedReason::kQueueFull;
-  }
-  if (state.quota.metered() && !state.quota.TryTake(now)) {
-    return ShedReason::kQuota;
-  }
-  if (state.sojourn.ShouldShed(now, state.socket->OldestAge(now),
-                               config_.admission.sojourn)) {
-    return ShedReason::kSojourn;
-  }
-  return ShedReason::kNone;
 }
 
 Duration LinuxRpcStack::ShedFrame(uint32_t q, const ParsedFrame& frame,
@@ -205,7 +192,7 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
     kernel_.scheduler().OnWorkDone(core);
     return;
   }
-  const auto request = DecodeRpcMessage(frame->payload);
+  auto request = DecodeRpcMessage(frame->payload);
   if (spans_ != nullptr && request.has_value() &&
       request->kind == MessageKind::kRequest) {
     spans_->Record(request->request_id, SpanStage::kDelivered, sim_.Now());
@@ -219,88 +206,45 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
   const Ipv4Header req_ip = frame->ip;
   const UdpHeader req_udp = frame->udp;
 
-  core.Run(recv_cost, CoreMode::kKernel, [this, &state, &core, request, req_eth, req_ip,
-                                          req_udp]() {
-    const OsCostModel& costs = kernel_.costs();
-    if (!request.has_value() || request->kind != MessageKind::kRequest) {
+  core.Run(recv_cost, CoreMode::kKernel, [this, &state, &core, request = std::move(request),
+                                          req_eth, req_ip, req_udp]() mutable {
+    if (!request.has_value()) {
       ++bad_requests_;
       kernel_.scheduler().OnWorkDone(core);
       return;
     }
-    // Software transport decryption (charged below as user time).
-    RpcMessage plain = *request;
-    Duration crypto_cost = 0;
-    if (config_.encrypt_rpcs) {
-      auto opened = OpenPayload(
-          DeriveKey(config_.crypto_root_key, state.def->service_id), plain.payload);
-      crypto_cost += costs.SwCryptoCost(plain.payload.size());
-      if (!opened.has_value()) {
-        ++bad_requests_;
-        kernel_.scheduler().OnWorkDone(core);
-        return;
-      }
-      plain.payload = std::move(*opened);
+    Served served = ServeRequest(std::move(*request), state.def,
+                                 DedupFlowKey(req_ip.src, req_udp.src_port), dedup_,
+                                 crypto_root_key_, kernel_.costs());
+    if (served.verdict == ServeVerdict::kBadRequest) {
+      ++bad_requests_;
     }
-    RpcMessage response =
-        ReplyTo(plain.service_id, plain.method_id, plain.request_id);
-    Duration user_cost = crypto_cost;
-
-    // At-most-once admission, after decryption validated the request (a
-    // corrupted copy must not park an in-flight entry forever).
-    bool replay = false;
-    uint64_t flow = 0;
-    if (config_.dedup) {
-      flow = DedupFlowKey(req_ip.src, req_udp.src_port);
-      const RpcDedupCache::Screened screen = dedup_.Screen(flow, plain.request_id);
-      if (screen.verdict == RpcDedupCache::Verdict::kInFlight) {
-        kernel_.scheduler().OnWorkDone(core);
-        return;
-      }
-      if (screen.verdict == RpcDedupCache::Verdict::kCompleted) {
-        response = *screen.cached;  // already sealed; resend as-is
-        replay = true;
-      }
+    // A drop charges nothing: the worker has only done the recv so far.
+    if (served.verdict == ServeVerdict::kBadRequest ||
+        served.verdict == ServeVerdict::kInFlight) {
+      kernel_.scheduler().OnWorkDone(core);
+      return;
     }
-
-    if (!replay) {
-      if (spans_ != nullptr) {
-        spans_->Record(plain.request_id, SpanStage::kHandlerStart, sim_.Now());
-      }
-      Invocation result = InvokeMethod(state.def, plain.method_id, plain.payload);
-      response.status = result.status;
-      response.payload = std::move(result.payload);
-      if (result.status == RpcStatus::kOk ||
-          result.status == RpcStatus::kBadArguments) {
-        user_cost += costs.SwMarshalCost(plain.payload.size());  // unmarshal
-      }
-      if (result.status == RpcStatus::kOk) {
-        user_cost += result.service_time + costs.SwMarshalCost(response.payload.size());
-      }
-      if (config_.encrypt_rpcs && !response.payload.empty()) {
-        user_cost += costs.SwCryptoCost(response.payload.size());
-        response.payload =
-            SealPayload(DeriveKey(config_.crypto_root_key, state.def->service_id),
-                        response.request_id ^ 0x5a5a, response.payload);
-      }
-      if (config_.dedup) {
-        dedup_.Complete(flow, response.request_id, response);
-      }
+    const bool replay = served.verdict == ServeVerdict::kReplay;
+    if (spans_ != nullptr && !replay) {
+      spans_->Record(served.response.request_id, SpanStage::kHandlerStart, sim_.Now());
     }
-
-    core.Run(user_cost, CoreMode::kUser, [this, &state, &core, response, replay, req_eth,
-                                          req_ip, req_udp]() {
+    core.Run(served.user_cost, CoreMode::kUser,
+             [this, &state, &core, response = std::move(served.response), replay, req_eth,
+              req_ip, req_udp]() mutable {
       if (spans_ != nullptr && !replay) {
         spans_->Record(response.request_id, SpanStage::kHandlerEnd, sim_.Now());
       }
       // Step 3: sendmsg syscall + copyin + driver TX. Host-side DCTCP
       // fallback (§15): the CE echo only — the kernel has no NIC-resident
       // queue-headroom view to grant from.
-      const Packet out = ReplyFrame(req_eth, req_ip, req_udp, response);
       const OsCostModel& costs2 = kernel_.costs();
       const Duration send_cost = costs2.syscall + costs2.socket_syscall_path +
                                  costs2.CopyCost(response.WireSize()) +
                                  costs2.driver_tx_per_packet;
-      core.Run(send_cost, CoreMode::kKernel, [this, &state, &core, out, replay]() {
+      Packet out = ReplyFrame(req_eth, req_ip, req_udp, std::move(response));
+      core.Run(send_cost, CoreMode::kKernel, [this, &state, &core, out = std::move(out),
+                                              replay]() {
         const uint32_t txq =
             static_cast<uint32_t>(core.index()) % driver_.num_queues();
         driver_.Transmit(txq, out.bytes);

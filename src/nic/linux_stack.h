@@ -10,8 +10,8 @@
 #define SRC_NIC_LINUX_STACK_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -19,7 +19,6 @@
 #include "src/nic/dma_nic.h"
 #include "src/os/kernel.h"
 #include "src/overload/overload.h"
-#include "src/proto/cipher.h"
 #include "src/proto/dedup.h"
 #include "src/proto/rpc_message.h"
 #include "src/proto/service.h"
@@ -32,23 +31,18 @@ class LinuxRpcStack {
   struct Config {
     size_t napi_budget = 64;
     int worker_threads_per_service = 1;
-    // Software transport crypto (no NIC offload on the Fig. 1 device).
-    bool encrypt_rpcs = false;
-    uint64_t crypto_root_key = 0;
-    // At-most-once execution: drop/replay duplicate (flow, request id) pairs
-    // instead of running the handler twice (software analog of the
-    // Lauberhorn NIC's dedup stage, so the comparison is apples-to-apples).
-    bool dedup = true;
-    // Overload admission at the softirq/socket boundary: the same policy the
-    // Lauberhorn NIC runs in hardware, but every shed (decode + reply TX)
-    // costs kernel CPU on the softirq core — that cost difference is the
-    // point of the three-way comparison.
-    AdmissionConfig admission;
   };
 
-  // `dedup` is the server's at-most-once table (owned by the Machine).
+  // The Machine-wide server settings, read from the Machine: `dedup` is the
+  // server's at-most-once table (null: dedup off), `crypto_root_key` turns on
+  // software transport crypto (the Fig. 1 device has no offload), and
+  // `admission` is the overload policy run at the softirq/socket boundary —
+  // the Lauberhorn NIC's policy, except that every shed (decode + reply TX)
+  // costs kernel CPU on the softirq core, the cost difference the three-way
+  // comparison is about.
   LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic, DmaNicDriver& driver,
-                Msix& msix, ServiceRegistry& services, RpcDedupCache& dedup,
+                Msix& msix, ServiceRegistry& services, RpcDedupCache* dedup,
+                std::optional<uint64_t> crypto_root_key, const AdmissionConfig& admission,
                 Config config);
 
   // Creates the process, worker thread(s), and socket for a service.
@@ -63,9 +57,11 @@ class LinuxRpcStack {
   uint64_t rpcs_completed() const { return rpcs_completed_; }
   uint64_t bad_requests() const { return bad_requests_; }
   uint64_t dup_drops_in_flight() const {
-    return dedup_.stats().duplicates_in_flight;
+    return dedup_ != nullptr ? dedup_->stats().duplicates_in_flight : 0;
   }
-  uint64_t dup_replays() const { return dedup_.stats().duplicates_replayed; }
+  uint64_t dup_replays() const {
+    return dedup_ != nullptr ? dedup_->stats().duplicates_replayed : 0;
+  }
   // Overload sheds by reason, and the kernel CPU charged for shedding
   // (decode + kOverloaded reply TX on the softirq core).
   const ShedCounts& sheds() const { return sheds_; }
@@ -86,11 +82,6 @@ class LinuxRpcStack {
   void NapiPoll(uint32_t q, Core& core);
   void PostWorkerWork(ServiceState& state);
   void WorkerStep(ServiceState& state, Core& core);
-  // Admission decision for one frame headed to `state`'s socket. The signal
-  // is per-service (socket depth, quota, socket sojourn); delay upstream of
-  // the softirq is bounded by the device ring/FIFO sizes, where a commodity
-  // NIC can only tail-drop silently.
-  ShedReason AdmissionCheck(ServiceState& state);
   // Builds and transmits the kOverloaded reply for a shed frame; returns the
   // kernel CPU cost to charge on the softirq core.
   Duration ShedFrame(uint32_t q, const ParsedFrame& frame, ShedReason reason);
@@ -101,11 +92,13 @@ class LinuxRpcStack {
   DmaNicDriver& driver_;
   Msix& msix_;
   ServiceRegistry& services_;
+  RpcDedupCache* dedup_;
+  std::optional<uint64_t> crypto_root_key_;
+  const AdmissionConfig& admission_;
   Config config_;
   SpanCollector* spans_ = nullptr;
   std::vector<Thread*> softirq_threads_;  // one per queue
   std::unordered_map<uint16_t, std::unique_ptr<ServiceState>> by_port_;
-  RpcDedupCache& dedup_;
   uint64_t rpcs_completed_ = 0;
   uint64_t bad_requests_ = 0;
   ShedCounts sheds_;

@@ -81,6 +81,24 @@ bool SojournGate::ShouldShed(SimTime now, Duration oldest_age,
   return true;
 }
 
+ShedReason AdmissionVerdict(size_t depth, size_t stack_limit, TokenBucket& quota,
+                            SojournGate& sojourn, Duration head_age, SimTime now,
+                            const AdmissionConfig& config) {
+  const size_t limit = config.queue_depth_limit > 0
+                           ? std::min(stack_limit, config.queue_depth_limit)
+                           : stack_limit;
+  if (depth >= limit) {
+    return ShedReason::kQueueFull;
+  }
+  if (!quota.TryTake(now)) {
+    return ShedReason::kQuota;
+  }
+  if (sojourn.ShouldShed(now, head_age, config.sojourn)) {
+    return ShedReason::kSojourn;
+  }
+  return ShedReason::kNone;
+}
+
 bool ScaleGovernor::CanChange(uint32_t key, SimTime now) const {
   if (config_.cooldown <= 0) return true;
   auto it = last_change_.find(key);

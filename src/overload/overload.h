@@ -128,6 +128,17 @@ struct AdmissionConfig {
   size_t queue_depth_limit = 0;
 };
 
+// The depth → quota → sojourn verdict of a software shed point (the Linux
+// socket boundary, the bypass poll loop; the Lauberhorn NIC runs its own,
+// VF-aware one). `depth` is the queue the request would join and
+// `stack_limit` that queue's own bound, which config.queue_depth_limit can
+// only tighten; `head_age` is the sojourn time of the queue's head. Checks
+// stop at the first refusal, so a queue-full shed draws no quota token and
+// leaves the sojourn gate as it was.
+ShedReason AdmissionVerdict(size_t depth, size_t stack_limit, TokenBucket& quota,
+                            SojournGate& sojourn, Duration head_age, SimTime now,
+                            const AdmissionConfig& config);
+
 // Hysteresis + cooldown for the NIC→OS scale-up/RETIRE feedback loop. Under
 // surge the un-dampened policy thrashes: the dispatcher retires a loop to free
 // a core, the cold-dispatch tail immediately re-starts it, and the core never

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "bench/common.h"
 #include "src/cluster/cluster_client.h"
 #include "src/core/testbed.h"
 #include "src/net/link.h"
@@ -21,10 +22,9 @@ ReplicaInfo StubReplica(uint32_t machine) {
   return info;
 }
 
-// Echo-with-sequence service; bumps `executions[seq]` per handler run so
-// tests can prove at-most-once execution cluster-wide.
-ServiceDef MakeSeqService(uint32_t id, uint16_t port,
-                          std::unordered_map<uint64_t, uint32_t>* executions) {
+// Echo-with-sequence service; `ledger`, when set, counts its executions per
+// sequence number so tests can prove at-most-once execution cluster-wide.
+ServiceDef MakeSeqService(uint32_t id, uint16_t port, ExecutionLedger* ledger) {
   ServiceDef def;
   def.service_id = id;
   def.name = "seq";
@@ -33,12 +33,11 @@ ServiceDef MakeSeqService(uint32_t id, uint16_t port,
   echo.method_id = 0;
   echo.request_sig.args = {WireType::kU64};
   echo.response_sig.args = {WireType::kU64};
-  echo.handler = [executions](const std::vector<WireValue>& args) {
-    if (executions != nullptr) {
-      ++(*executions)[args[0].scalar];
-    }
-    return std::vector<WireValue>{WireValue::U64(args[0].scalar)};
-  };
+  if (ledger != nullptr) {
+    echo.handler = ledger->Handler();
+  } else {
+    echo.handler = [](const std::vector<WireValue>& args) { return args; };
+  }
   echo.SetFixedServiceTime(Microseconds(1));
   def.methods[0] = std::move(echo);
   return def;
@@ -311,7 +310,7 @@ TEST(ClusterTest, FailoverPreservesAtMostOnceUnderCrashWindow) {
   config.client_max_retransmits = 2;
   config.server_dedup = true;
 
-  std::unordered_map<uint64_t, uint32_t> executions;
+  ExecutionLedger ledger;
   std::vector<Machine*> machines;
   for (int m = 0; m < 3; ++m) {
     MachineConfig mc = config;
@@ -326,7 +325,7 @@ TEST(ClusterTest, FailoverPreservesAtMostOnceUnderCrashWindow) {
   ServiceDirectory directory;
   for (uint32_t m = 0; m < machines.size(); ++m) {
     const ServiceDef& def =
-        machines[m]->AddService(MakeSeqService(1, 7000, &executions));
+        machines[m]->AddService(MakeSeqService(1, 7000, &ledger));
     machines[m]->Start();
     machines[m]->StartHotLoop(def);
     ReplicaInfo info;
@@ -367,10 +366,8 @@ TEST(ClusterTest, FailoverPreservesAtMostOnceUnderCrashWindow) {
   EXPECT_GE(directory.stats().marked_up, 1u);
   EXPECT_EQ(directory.replica(1, 1).health, ReplicaHealth::kUp);
   // At-most-once cluster-wide: no sequence number executed twice, anywhere.
-  for (const auto& [seq, count] : executions) {
-    EXPECT_EQ(count, 1u) << "seq " << seq << " executed " << count << " times";
-  }
-  EXPECT_EQ(executions.size(), sent);
+  EXPECT_EQ(ledger.Duplicates(), 0u);
+  EXPECT_EQ(ledger.Total(), sent);
 }
 
 TEST(ClusterTest, OverloadDivertReroutesWithoutDoubleExecution) {
@@ -383,7 +380,7 @@ TEST(ClusterTest, OverloadDivertReroutesWithoutDoubleExecution) {
   config.client_retransmit_timeout = Microseconds(200);
   config.server_dedup = true;
 
-  std::unordered_map<uint64_t, uint32_t> executions;
+  ExecutionLedger ledger;
   std::vector<Machine*> machines;
   for (int m = 0; m < 2; ++m) {
     MachineConfig mc = config;
@@ -397,7 +394,7 @@ TEST(ClusterTest, OverloadDivertReroutesWithoutDoubleExecution) {
   ServiceDirectory directory;
   for (uint32_t m = 0; m < machines.size(); ++m) {
     const ServiceDef& def =
-        machines[m]->AddService(MakeSeqService(1, 7000, &executions));
+        machines[m]->AddService(MakeSeqService(1, 7000, &ledger));
     machines[m]->Start();
     // Replica 0 stays cold-kernel so requests pass the admission gate (the
     // immediate hot path admits unconditionally: dispatch implies admit).
@@ -427,9 +424,7 @@ TEST(ClusterTest, OverloadDivertReroutesWithoutDoubleExecution) {
 
   EXPECT_EQ(ok, sent);
   EXPECT_GT(cluster.stats().diverts, 0u);
-  for (const auto& [seq, count] : executions) {
-    EXPECT_EQ(count, 1u);
-  }
+  EXPECT_EQ(ledger.Duplicates(), 0u);
 }
 
 TEST(ClusterTest, NestedRpcFailoverUnderCrashWindowStaysAtMostOnce) {
@@ -448,7 +443,7 @@ TEST(ClusterTest, NestedRpcFailoverUnderCrashWindowStaysAtMostOnce) {
   config.client_max_retransmits = 2;
   config.server_dedup = true;
 
-  std::unordered_map<uint64_t, uint32_t> backend_executions;
+  ExecutionLedger backend_ledger;
   MachineConfig crashing = config;
   crashing.faults.os.first_crash_at = Milliseconds(3);
   crashing.faults.os.restart_delay = Milliseconds(4);
@@ -465,8 +460,8 @@ TEST(ClusterTest, NestedRpcFailoverUnderCrashWindowStaysAtMostOnce) {
     count.method_id = 0;
     count.request_sig.args = {WireType::kU64};
     count.response_sig.args = {WireType::kU64};
-    count.handler = [&backend_executions](const std::vector<WireValue>& args) {
-      ++backend_executions[args[0].scalar];
+    count.handler = [record = backend_ledger.Handler()](const std::vector<WireValue>& args) {
+      record(args);
       return std::vector<WireValue>{WireValue::U64(args[0].scalar + 1)};
     };
     count.SetFixedServiceTime(Microseconds(1));
@@ -556,11 +551,8 @@ TEST(ClusterTest, NestedRpcFailoverUnderCrashWindowStaysAtMostOnce) {
   EXPECT_GT(cluster.stats().failovers, 0u);
   EXPECT_EQ(cluster.stats().exhausted, 0u);
   EXPECT_GE(directory.stats().marked_down, 1u);
-  for (const auto& [seq, count] : backend_executions) {
-    EXPECT_EQ(count, 1u) << "seq " << seq << " executed " << count
-                         << " times at the backend";
-  }
-  EXPECT_EQ(backend_executions.size(), sent);
+  EXPECT_EQ(backend_ledger.Duplicates(), 0u);
+  EXPECT_EQ(backend_ledger.Total(), sent);
 }
 
 TEST(FabricTest, PortQueueOverflowDropsAndExportsCounters) {

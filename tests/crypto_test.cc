@@ -145,6 +145,32 @@ TEST(CryptoIntegrationTest, PayloadOnWireIsCiphertext) {
   EXPECT_FALSE(plaintext_seen) << "plaintext leaked onto the wire";
 }
 
+// The wire frame of echo request `request_id` (service 1, port 7000) with
+// its payload sealed under `root_key`, as a client at 10.0.0.1 would send it.
+Packet SealedEchoFrame(uint64_t root_key, uint64_t request_id) {
+  std::vector<uint8_t> args;
+  MarshalArgs(MethodSignature{{WireType::kBytes}},
+              std::vector<WireValue>{WireValue::Bytes({1, 2, 3})}, args);
+  RpcMessage msg;
+  msg.kind = MessageKind::kRequest;
+  msg.service_id = 1;
+  msg.method_id = 0;
+  msg.request_id = request_id;
+  msg.payload = SealPayload(DeriveKey(root_key, 1), 1, args);
+  std::vector<uint8_t> wire;
+  EncodeRpcMessage(msg, wire);
+  EthernetHeader eth;
+  eth.src = {2, 0, 0, 0, 0, 1};
+  eth.dst = {2, 0, 0, 0, 0, 2};
+  Ipv4Header ip;
+  ip.src = MakeIpv4(10, 0, 0, 1);
+  ip.dst = MakeIpv4(10, 0, 0, 2);
+  UdpHeader udp;
+  udp.src_port = 40001;
+  udp.dst_port = 7000;
+  return BuildUdpFrame(eth, ip, udp, wire);
+}
+
 TEST(CryptoIntegrationTest, WrongKeyClientRejectedByNic) {
   MachineConfig config;
   config.stack = StackKind::kLauberhorn;
@@ -157,31 +183,56 @@ TEST(CryptoIntegrationTest, WrongKeyClientRejectedByNic) {
 
   // Inject a frame sealed with the wrong key straight into the NIC (as a
   // malicious or misconfigured peer would).
-  std::vector<uint8_t> args;
-  MarshalArgs(MethodSignature{{WireType::kBytes}},
-              std::vector<WireValue>{WireValue::Bytes({1, 2, 3})}, args);
-  RpcMessage msg;
-  msg.kind = MessageKind::kRequest;
-  msg.service_id = 1;
-  msg.method_id = 0;
-  msg.request_id = 99;
-  msg.payload = SealPayload(DeriveKey(0xbad, 1), 1, args);
-  std::vector<uint8_t> wire;
-  EncodeRpcMessage(msg, wire);
-  EthernetHeader eth;
-  eth.src = {2, 0, 0, 0, 0, 1};
-  eth.dst = {2, 0, 0, 0, 0, 2};
-  Ipv4Header ip;
-  ip.src = MakeIpv4(10, 0, 0, 1);
-  ip.dst = MakeIpv4(10, 0, 0, 2);
-  UdpHeader udp;
-  udp.src_port = 40001;
-  udp.dst_port = 7000;
-  machine.lauberhorn_nic()->ReceivePacket(BuildUdpFrame(eth, ip, udp, wire));
+  machine.lauberhorn_nic()->ReceivePacket(SealedEchoFrame(0xbad, 99));
   machine.sim().RunUntil(Milliseconds(50));
   EXPECT_EQ(machine.lauberhorn_nic()->stats().crypto_failures, 1u);
   EXPECT_EQ(machine.lauberhorn_nic()->stats().hot_dispatches, 0u);
 }
+
+// The software stacks open the payload before the dedup screen: a wrong-key
+// copy is a bad request that neither runs the handler nor parks an in-flight
+// entry, so the correctly sealed request with the same id still executes.
+class SoftwareStackCryptoTest : public ::testing::TestWithParam<StackKind> {};
+
+TEST_P(SoftwareStackCryptoTest, WrongKeyRequestIsRejectedWithoutADedupEntry) {
+  MachineConfig config;
+  config.stack = GetParam();
+  config.encrypt_rpcs = true;
+  Machine machine(config);
+  ServiceDef echo = ServiceRegistry::MakeEchoService(1, 7000);
+  int executions = 0;
+  MethodDef& method = echo.methods.at(0);
+  method.handler = [&executions, echo_args = method.handler](
+                       const std::vector<WireValue>& args) {
+    ++executions;
+    return echo_args(args);
+  };
+  machine.AddService(std::move(echo));
+  machine.Start();
+  machine.sim().RunUntil(Milliseconds(1));
+  auto bad_requests = [&machine]() {
+    return machine.linux_stack() != nullptr ? machine.linux_stack()->bad_requests()
+                                            : machine.bypass()->bad_requests();
+  };
+
+  machine.dma_nic()->ReceivePacket(SealedEchoFrame(0xbad, 99));
+  machine.sim().RunUntil(Milliseconds(10));
+  EXPECT_EQ(bad_requests(), 1u);
+  EXPECT_EQ(executions, 0);
+  EXPECT_EQ(machine.server_stats().dedup.admitted, 0u);
+
+  machine.dma_nic()->ReceivePacket(SealedEchoFrame(config.crypto_root_key, 99));
+  machine.sim().RunUntil(Milliseconds(20));
+  EXPECT_EQ(executions, 1);
+  EXPECT_EQ(bad_requests(), 1u);
+  EXPECT_EQ(machine.server_stats().dedup.admitted, 1u);
+  EXPECT_EQ(machine.server_stats().dedup.duplicates_in_flight, 0u);
+  EXPECT_EQ(machine.server_rpcs(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SoftwareStacks, SoftwareStackCryptoTest,
+                         ::testing::Values(StackKind::kLinux, StackKind::kBypass),
+                         [](const auto& info) { return ToString(info.param); });
 
 TEST(CryptoIntegrationTest, NestedCallsEncryptedEndToEnd) {
   MachineConfig config;

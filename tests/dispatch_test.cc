@@ -15,9 +15,9 @@
 #include <map>
 #include <memory>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
+#include "bench/common.h"
 #include "src/core/machine.h"
 #include "src/nic/dispatch_policy/dispatch_policy.h"
 #include "src/sim/simulator.h"
@@ -152,10 +152,7 @@ class DispatchHarness {
     method.name = "count";
     method.request_sig.args = {WireType::kU64};
     method.response_sig.args = {WireType::kU64};
-    method.handler = [this](const std::vector<WireValue>& args) {
-      ++execs_[args.at(0).scalar];
-      return std::vector<WireValue>{args.at(0)};
-    };
+    method.handler = ledger_.Handler();
     method.service_time = MakeServiceTimeFn(service_time);
     def.methods[0] = std::move(method);
     service_ = &machine_.AddService(std::move(def), max_cores);
@@ -188,20 +185,8 @@ class DispatchHarness {
   uint64_t sent() const { return next_seq_; }
   uint64_t ok() const { return ok_; }
   const Histogram& rtt() const { return rtt_; }
-  uint64_t DuplicateExecutions() const {
-    uint64_t dups = 0;
-    for (const auto& [seq, count] : execs_) {
-      dups += count > 1;
-    }
-    return dups;
-  }
-  uint64_t TotalExecutions() const {
-    uint64_t total = 0;
-    for (const auto& [seq, count] : execs_) {
-      total += count;
-    }
-    return total;
-  }
+  uint64_t DuplicateExecutions() const { return ledger_.Duplicates(); }
+  uint64_t TotalExecutions() const { return ledger_.Total(); }
   Machine& machine() { return machine_; }
   const ServiceDef& service() const { return *service_; }
   LauberhornNic& nic() { return *machine_.lauberhorn_nic(); }
@@ -209,7 +194,7 @@ class DispatchHarness {
  private:
   Machine machine_;
   const ServiceDef* service_ = nullptr;
-  std::unordered_map<uint64_t, uint32_t> execs_;
+  ExecutionLedger ledger_;
   uint64_t next_seq_ = 0;
   uint64_t ok_ = 0;
   Histogram rtt_;

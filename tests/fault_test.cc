@@ -4,9 +4,9 @@
 // LauberhornNic's graceful degradation of wedged endpoints.
 #include <gtest/gtest.h>
 
-#include <unordered_map>
 #include <vector>
 
+#include "bench/common.h"
 #include "src/coherence/cache_agent.h"
 #include "src/coherence/interconnect.h"
 #include "src/coherence/memory_home.h"
@@ -318,10 +318,7 @@ class E2eHarness {
     method.name = "count";
     method.request_sig.args = {WireType::kU64};
     method.response_sig.args = {WireType::kU64};
-    method.handler = [this](const std::vector<WireValue>& args) {
-      ++execs_[args.at(0).scalar];
-      return std::vector<WireValue>{args.at(0)};
-    };
+    method.handler = ledger_.Handler();
     method.SetFixedServiceTime(Nanoseconds(500));
     def.methods[0] = std::move(method);
     service_ = &machine_.AddService(std::move(def),
@@ -358,28 +355,14 @@ class E2eHarness {
 
   uint64_t sent() const { return next_seq_; }
   uint64_t ok() const { return ok_; }
-  uint64_t DuplicateExecutions() const {
-    uint64_t dups = 0;
-    for (const auto& [seq, count] : execs_) {
-      if (count > 1) {
-        ++dups;
-      }
-    }
-    return dups;
-  }
-  uint64_t TotalExecutions() const {
-    uint64_t total = 0;
-    for (const auto& [seq, count] : execs_) {
-      total += count;
-    }
-    return total;
-  }
+  uint64_t DuplicateExecutions() const { return ledger_.Duplicates(); }
+  uint64_t TotalExecutions() const { return ledger_.Total(); }
   Machine& machine() { return machine_; }
 
  private:
   Machine machine_;
   const ServiceDef* service_ = nullptr;
-  std::unordered_map<uint64_t, uint32_t> execs_;
+  ExecutionLedger ledger_;
   uint64_t next_seq_ = 0;
   uint64_t ok_ = 0;
 };

@@ -142,6 +142,39 @@ TEST(LauberhornNicTest, LargePayloadTakesDmaFallback) {
   EXPECT_GE(machine.lauberhorn_nic()->stats().dma_fallback_tx, 1u);
 }
 
+TEST(LauberhornRuntimeTest, ColdDispatchChargesTheCopyOfDmaArgs) {
+  // No loop is parked, so the request takes a kernel channel, and at 8000 B
+  // its args arrive by DMA (§6). The dispatcher reads them from the host
+  // buffer, which costs the same copy as on the hot path.
+  Machine machine(Config());
+  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+  machine.Start();
+  machine.sim().RunUntil(Milliseconds(1));
+  auto user_time = [&machine]() {
+    Duration total = 0;
+    for (size_t i = 0; i < machine.kernel().num_cores(); ++i) {
+      total += machine.kernel().core(i).TimeIn(CoreMode::kUser);
+    }
+    return total;
+  };
+  const Duration before = user_time();
+  const std::vector<WireValue> args = Payload(8000);
+  int done = 0;
+  machine.client().Call(echo, 0, args, [&done](const RpcMessage& r, Duration) {
+    EXPECT_EQ(r.status, RpcStatus::kOk);
+    ++done;
+  });
+  machine.sim().RunUntil(Milliseconds(50));
+  ASSERT_EQ(done, 1);
+  EXPECT_EQ(machine.lauberhorn_nic()->stats().cold_dispatches, 1u);
+  EXPECT_EQ(machine.lauberhorn_nic()->stats().dma_fallback_rx, 1u);
+  // The handler's user time: entry, the echo's zero service time, and the
+  // copy of the marshalled args.
+  const size_t arg_len = MethodSignature{{WireType::kBytes}}.EncodedSize(args);
+  EXPECT_EQ(user_time() - before, machine.config().runtime.handler_entry +
+                                      machine.kernel().costs().CopyCost(arg_len));
+}
+
 TEST(LauberhornNicTest, PostedResponsesAreFasterAndCorrect) {
   auto run = [](bool posted) {
     MachineConfig config = Config();

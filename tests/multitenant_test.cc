@@ -5,9 +5,9 @@
 // tenant's flows across its endpoint replicas.
 #include <gtest/gtest.h>
 
-#include <unordered_map>
 #include <vector>
 
+#include "bench/common.h"
 #include "src/core/machine.h"
 #include "src/net/headers.h"
 #include "src/proto/marshal.h"
@@ -25,9 +25,8 @@ MachineConfig TenantMachineConfig() {
   return config;
 }
 
-// Echo service whose handler bumps a per-sequence execution counter.
-ServiceDef CountedService(uint32_t id, uint16_t port,
-                          std::unordered_map<uint64_t, uint32_t>* execs) {
+// Echo service whose handler counts its executions per sequence number.
+ServiceDef CountedService(uint32_t id, uint16_t port, ExecutionLedger& ledger) {
   ServiceDef def;
   def.service_id = id;
   def.name = "tenant-svc-" + std::to_string(id);
@@ -37,10 +36,7 @@ ServiceDef CountedService(uint32_t id, uint16_t port,
   method.name = "count";
   method.request_sig.args = {WireType::kU64};
   method.response_sig.args = {WireType::kU64};
-  method.handler = [execs](const std::vector<WireValue>& args) {
-    ++(*execs)[args.at(0).scalar];
-    return std::vector<WireValue>{args.at(0)};
-  };
+  method.handler = ledger.Handler();
   method.SetFixedServiceTime(Nanoseconds(500));
   def.methods[0] = std::move(method);
   return def;
@@ -112,14 +108,14 @@ TEST(VfTest, EndpointSliceCapRejectsOverAllocation) {
 
 TEST(VfTest, VfQuotaShedsOnNicWithDedicatedReason) {
   Machine machine(TenantMachineConfig());
-  std::unordered_map<uint64_t, uint32_t> execs;
+  ExecutionLedger ledger;
   LauberhornNic::VfConfig vf;
   vf.name = "metered";
   vf.admission.enabled = true;
   vf.admission.quota_rps = 1e4;  // one token per 100us
   vf.admission.quota_burst = 2;
   const uint32_t id = machine.CreateVf(vf);
-  const ServiceDef& svc = machine.AddService(CountedService(1, 7000, &execs), 1, id);
+  const ServiceDef& svc = machine.AddService(CountedService(1, 7000, ledger), 1, id);
   machine.Start();
   machine.StartHotLoop(svc);
   machine.sim().RunUntil(Microseconds(100));
@@ -151,7 +147,7 @@ TEST(VfTest, VfQuotaShedsOnNicWithDedicatedReason) {
   EXPECT_EQ(machine.lauberhorn_nic()->vf_stats(id).sheds.vf_quota,
             stats.sheds.vf_quota);
   // Shed requests never reached a handler.
-  EXPECT_EQ(execs.size(), ok);
+  EXPECT_EQ(ledger.Total(), ok);
 
   MetricsRegistry metrics;
   machine.ExportMetrics(metrics);
@@ -163,13 +159,13 @@ TEST(VfTest, VfQuotaShedsOnNicWithDedicatedReason) {
 
 TEST(VfTest, DedupNamespacesIsolateTenants) {
   Machine machine(TenantMachineConfig());
-  std::unordered_map<uint64_t, uint32_t> execs_a, execs_b;
+  ExecutionLedger ledger_a, ledger_b;
   const uint32_t vf_a = machine.CreateVf({.name = "tenant-a"});
   const uint32_t vf_b = machine.CreateVf({.name = "tenant-b"});
   const ServiceDef& svc_a =
-      machine.AddService(CountedService(1, 7000, &execs_a), 1, vf_a);
+      machine.AddService(CountedService(1, 7000, ledger_a), 1, vf_a);
   const ServiceDef& svc_b =
-      machine.AddService(CountedService(2, 7001, &execs_b), 1, vf_b);
+      machine.AddService(CountedService(2, 7001, ledger_b), 1, vf_b);
   machine.Start();
   machine.StartHotLoop(svc_a);
   machine.StartHotLoop(svc_b);
@@ -186,24 +182,24 @@ TEST(VfTest, DedupNamespacesIsolateTenants) {
   // Both executed: tenant A's dedup entry must not suppress tenant B's
   // identically-keyed request (cross-tenant suppression would also be a
   // side channel: tenant B could probe A's request ids).
-  EXPECT_EQ(execs_a[1], 1u);
-  EXPECT_EQ(execs_b[2], 1u);
+  EXPECT_EQ(ledger_a.Total(), 1u);  // sequence 1, tenant A's only request
+  EXPECT_EQ(ledger_b.Total(), 1u);  // sequence 2
   EXPECT_EQ(nic.stats().dup_drops_in_flight, 0u);
   EXPECT_EQ(nic.stats().dup_replays, 0u);
 
   // Control: *within* one tenant the same key still dedups.
   nic.ReceivePacket(RawRequest(src_ip, 40000, 7000, 77, 1));
   machine.sim().RunUntil(Milliseconds(2));
-  EXPECT_EQ(execs_a[1], 1u);
+  EXPECT_EQ(ledger_a.Total(), 1u);
   EXPECT_EQ(nic.stats().dup_drops_in_flight + nic.stats().dup_replays, 1u);
 }
 
 TEST(VfTest, ToeplitzRssSteersVfFlowsAcrossEndpoints) {
   Machine machine(TenantMachineConfig());
-  std::unordered_map<uint64_t, uint32_t> execs;
+  ExecutionLedger ledger;
   const uint32_t id = machine.CreateVf({.name = "spread"});
   const ServiceDef& svc =
-      machine.AddService(CountedService(1, 7000, &execs), /*max_cores=*/2, id);
+      machine.AddService(CountedService(1, 7000, ledger), /*max_cores=*/2, id);
   machine.Start();
   machine.StartHotLoop(svc);
   machine.sim().RunUntil(Microseconds(100));
@@ -218,7 +214,7 @@ TEST(VfTest, ToeplitzRssSteersVfFlowsAcrossEndpoints) {
   }
   machine.sim().RunUntil(Milliseconds(2));
 
-  EXPECT_EQ(execs.size(), 40u);
+  EXPECT_EQ(ledger.Total(), 40u);
   const LauberhornNic::VfStats& vstats = nic.vf_stats(id);
   EXPECT_EQ(vstats.rx_requests, 40u);
   // Every request was placed by the Toeplitz hash.

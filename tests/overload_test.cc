@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "bench/common.h"
 #include "src/core/machine.h"
 #include "src/fault/fault.h"
 #include "src/overload/overload.h"
@@ -203,10 +203,7 @@ class OverloadHarness {
     method.name = "count";
     method.request_sig.args = {WireType::kU64};
     method.response_sig.args = {WireType::kU64};
-    method.handler = [this](const std::vector<WireValue>& args) {
-      ++execs_[args.at(0).scalar];
-      return std::vector<WireValue>{args.at(0)};
-    };
+    method.handler = ledger_.Handler();
     method.SetFixedServiceTime(service_time);
     def.methods[0] = std::move(method);
     service_ = &machine_.AddService(
@@ -242,22 +239,14 @@ class OverloadHarness {
 
   uint64_t sent() const { return next_seq_; }
   uint64_t ok() const { return ok_; }
-  uint64_t DuplicateExecutions() const {
-    uint64_t dups = 0;
-    for (const auto& [seq, count] : execs_) {
-      if (count > 1) {
-        ++dups;
-      }
-    }
-    return dups;
-  }
+  uint64_t DuplicateExecutions() const { return ledger_.Duplicates(); }
   Machine& machine() { return machine_; }
   const ServiceDef& service() const { return *service_; }
 
  private:
   Machine machine_;
   const ServiceDef* service_ = nullptr;
-  std::unordered_map<uint64_t, uint32_t> execs_;
+  ExecutionLedger ledger_;
   uint64_t next_seq_ = 0;
   uint64_t ok_ = 0;
 };

@@ -4,6 +4,8 @@
 
 #include "src/net/headers.h"
 #include "src/nic/server_step.h"
+#include "src/proto/cipher.h"
+#include "src/proto/dedup.h"
 #include "src/proto/marshal.h"
 #include "src/proto/rpc_message.h"
 #include "src/proto/service.h"
@@ -312,6 +314,111 @@ TEST(ServerStepTest, InvokeMethodReportsStatusPayloadAndServiceTime) {
     EXPECT_EQ(result.status, c.status);
     EXPECT_EQ(result.payload, c.payload);
     EXPECT_EQ(result.service_time, c.service_time);
+  }
+}
+
+// ServeRequest, the Linux and bypass stacks' request→reply step: one row per
+// verdict, each with the exact user-cost terms it must charge and the dedup
+// entry it must leave behind.
+TEST(ServerStepTest, ServeRequestVerdictsChargeTheirExactUserCost) {
+  ServiceDef service;
+  service.service_id = 3;
+  MethodDef& add_one = service.methods[1];
+  add_one.method_id = 1;
+  add_one.request_sig = MethodSignature{{WireType::kU64}};
+  add_one.response_sig = MethodSignature{{WireType::kU64}};
+  add_one.handler = [](const std::vector<WireValue>& args) {
+    return std::vector<WireValue>{WireValue::U64(args[0].scalar + 1)};
+  };
+  add_one.SetFixedServiceTime(Microseconds(3));
+
+  constexpr uint64_t kRoot = 0x1234;
+  constexpr uint64_t kId = 77;
+  constexpr uint64_t kFlow = DedupFlowKey(MakeIpv4(10, 0, 0, 1), 40001);
+  const uint64_t key = DeriveKey(kRoot, service.service_id);
+  std::vector<uint8_t> args;
+  ASSERT_TRUE(MarshalArgs(add_one.request_sig, std::vector<WireValue>{WireValue::U64(41)}, args));
+  std::vector<uint8_t> answer;
+  ASSERT_TRUE(
+      MarshalArgs(add_one.response_sig, std::vector<WireValue>{WireValue::U64(42)}, answer));
+  const std::vector<uint8_t> sealed_args = SealPayload(key, 1, args);
+  const std::vector<uint8_t> wrong_key_args = SealPayload(DeriveKey(0xbad, 3), 1, args);
+  const std::vector<uint8_t> sealed_answer = SealPayload(key, kId ^ 0x5a5a, answer);
+  const std::vector<uint8_t> cached_payload = {9, 9};
+
+  const OsCostModel costs;
+  const Duration open = costs.SwCryptoCost(sealed_args.size());
+  const Duration unmarshal = costs.SwMarshalCost(args.size());
+  const Duration marshal = costs.SwMarshalCost(answer.size());
+  const Duration seal = costs.SwCryptoCost(answer.size());
+  const Duration handler = Microseconds(3);
+
+  // What the dedup table holds for (kFlow, kId) before the step runs.
+  enum class Prior { kNone, kInFlight, kCompleted };
+  struct Row {
+    const char* name;
+    const ServiceDef* service;
+    std::optional<uint64_t> root_key;
+    std::vector<uint8_t> payload;
+    Prior prior;
+    ServeVerdict verdict;
+    RpcStatus status;
+    std::vector<uint8_t> response_payload;
+    Duration user_cost;
+    // Screening the same id again afterwards.
+    RpcDedupCache::Verdict after;
+  };
+  const Row rows[] = {
+      {"executed, sealed", &service, kRoot, sealed_args, Prior::kNone,
+       ServeVerdict::kExecuted, RpcStatus::kOk, sealed_answer,
+       open + unmarshal + handler + marshal + seal, RpcDedupCache::Verdict::kCompleted},
+      {"executed, clear", &service, std::nullopt, args, Prior::kNone,
+       ServeVerdict::kExecuted, RpcStatus::kOk, answer, unmarshal + handler + marshal,
+       RpcDedupCache::Verdict::kCompleted},
+      {"in-flight drop", &service, kRoot, sealed_args, Prior::kInFlight,
+       ServeVerdict::kInFlight, RpcStatus::kOk, {}, open,
+       RpcDedupCache::Verdict::kInFlight},
+      {"replay", &service, kRoot, sealed_args, Prior::kCompleted, ServeVerdict::kReplay,
+       RpcStatus::kOk, cached_payload, open, RpcDedupCache::Verdict::kCompleted},
+      {"wrong key", &service, kRoot, wrong_key_args, Prior::kNone,
+       ServeVerdict::kBadRequest, RpcStatus::kOk, {}, open, RpcDedupCache::Verdict::kNew},
+      {"null service", nullptr, kRoot, args, Prior::kNone, ServeVerdict::kExecuted,
+       RpcStatus::kNoSuchService, {}, 0, RpcDedupCache::Verdict::kCompleted},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    RpcDedupCache dedup;
+    if (row.prior != Prior::kNone) {
+      dedup.Screen(kFlow, kId);
+    }
+    if (row.prior == Prior::kCompleted) {
+      RpcMessage cached = ReplyTo(3, 1, kId);
+      cached.payload = cached_payload;
+      dedup.Complete(kFlow, kId, cached);
+    }
+    RpcMessage request;
+    request.service_id = 3;
+    request.method_id = 1;
+    request.request_id = kId;
+    request.payload = row.payload;
+
+    const Served served =
+        ServeRequest(request, row.service, kFlow, &dedup, row.root_key, costs);
+    EXPECT_EQ(served.verdict, row.verdict);
+    EXPECT_EQ(served.user_cost, row.user_cost);
+    EXPECT_EQ(served.response.payload, row.response_payload);
+    if (row.verdict == ServeVerdict::kExecuted || row.verdict == ServeVerdict::kReplay) {
+      EXPECT_EQ(served.response.kind, MessageKind::kResponse);
+      EXPECT_EQ(served.response.status, row.status);
+      EXPECT_EQ(served.response.request_id, kId);
+    }
+    // An executed request leaves its sealed response for replay; a bad one
+    // leaves no entry at all.
+    const RpcDedupCache::Screened again = dedup.Screen(kFlow, kId);
+    EXPECT_EQ(again.verdict, row.after);
+    if (again.verdict == RpcDedupCache::Verdict::kCompleted) {
+      EXPECT_EQ(again.cached->payload, row.response_payload);
+    }
   }
 }
 
